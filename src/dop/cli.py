@@ -6,6 +6,7 @@ file of key=value lines; explicit command-line values win.
 """
 
 import argparse
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -321,6 +322,11 @@ _WORKER_STATE = {}
 def _worker_init(model, n_best, prune_ratio):
     _WORKER_STATE["parser"] = SentenceParser(model, n_best=n_best,
                                              prune_ratio=prune_ratio)
+    # The model and the parser's indexes outlive every sentence. Frozen,
+    # they are left out of the cycle collector's full collections, which
+    # would otherwise re-scan them every few sentences (a pause that grows
+    # with the model and lands on whichever sentence is parsing).
+    gc.freeze()
 
 
 def _worker_parse(job):
@@ -347,7 +353,10 @@ def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
             rows = pool.map(_worker_parse, jobs)
     else:
         _worker_init(model, n_best, prune_ratio)
-        rows = [_worker_parse(job) for job in jobs]
+        try:
+            rows = [_worker_parse(job) for job in jobs]
+        finally:
+            gc.unfreeze()
     rows.sort(key=lambda r: r[0])
     return [row[1:] for row in rows]
 
@@ -431,7 +440,7 @@ def run_experiment(config: ExperimentConfig, options) -> int:
             table.append("%s\t%.2f\t%.2f\t%.3f"
                          % (bound, 100.0 * report.precision(40),
                             100.0 * report.recall(40), seconds))
-        except Exception as err:                      # keep sweeping
+        except _DATA_ERRORS as err:                   # keep sweeping
             print("grid point %s failed: %s" % (bound, err), file=sys.stderr)
             table.append("%s\tFAILED\tFAILED\t-" % bound)
     text = "\n".join(table) + "\n"

@@ -6,19 +6,22 @@ sides are matched through a shared prefix trie, which left-factors long
 rules into binary steps; the dotted prefix items this creates are internal
 to the parser. The inside pass is a bottom-up CKY with per-span pruning on
 prior-weighted scores; derivations come out of the pruned forest through
-lazy n-best extraction, and the most probable parse sums derivation
-probabilities per tree.
+lazy n-best extraction as bracketed strings, and the most probable parse
+sums derivation probabilities per string, building a Tree only for the
+winner.
 """
 
 import heapq
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .fragments import Fragment, Site
 from .model import FragmentModel
-from .tree import Tree, write_tree
+from .tree import Tree
 
 
 class CompositionError(ValueError):
@@ -29,6 +32,10 @@ class CyclicGrammarError(ValueError):
     """Unary fragment cycles make the derivation set infinite."""
 
 
+# a site is the only "(label)" without a space: words and labels hold none
+_SITE_TEXT = re.compile(r"\([^\s()]+\)")
+
+
 @dataclass(frozen=True)
 class IndexedRule:
     lhs: str
@@ -37,6 +44,16 @@ class IndexedRule:
     probability: Fraction
     logprob: float
     index: int
+
+    @cached_property
+    def template(self) -> tuple:
+        """The fragment key split at its substitution sites.
+
+        Joining the pieces with one bracketed subtree per site, left to
+        right, gives the bracketed form of the substituted tree. Computed
+        the first time the rule is realized.
+        """
+        return tuple(_SITE_TEXT.split(self.fragment.key))
 
 
 def _log(probability) -> float:
@@ -179,7 +196,7 @@ class ChartItem:
     """
 
     __slots__ = ("sym", "span", "inside", "edges", "_edge_ids",
-                 "derivs", "cand", "seen")
+                 "derivs", "cand", "pending")
 
     def __init__(self, sym, span):
         self.sym = sym
@@ -189,7 +206,7 @@ class ChartItem:
         self._edge_ids = set()
         self.derivs = None
         self.cand = None
-        self.seen = None
+        self.pending = None
 
     def add_edge(self, rule, tails, weight):
         edge_id = (rule.index if rule else -1, tuple(id(t) for t in tails))
@@ -361,7 +378,12 @@ def parse_chart(rules, sentence, prune_ratio=1e-5, priors=None,
 class Derivation:
     fragments: tuple          # leftmost-substitution order
     logprob: float            # sum of fragment log probabilities
-    tree: Tree
+    bracketed: str            # write_tree form of the derived tree
+
+    @property
+    def tree(self) -> Tree:
+        """The derived tree, built from the fragments on each access."""
+        return _substitute_all(self.fragments)
 
 
 @dataclass(frozen=True)
@@ -373,104 +395,128 @@ class ParseResult:
 
 
 def _get_kth(item, k):
-    """k-th best derivation of an item as (logprob, edge index, jvec)."""
-    if item.derivs is None:
-        item.derivs = []
+    """k-th best derivation of an item as (logprob, edge index, jvec), or None.
+
+    Lazy k-best in the manner of Huang & Chiang (2005), Algorithm 3: the
+    successors of a popped candidate enter the heap only when the next
+    derivation is asked for. Each jvec has one designated predecessor, so
+    no candidate is pushed twice. Successors never score above their
+    predecessor, so derivations come out in (-logprob, edge index, jvec)
+    order whichever way the heap is fed.
+    """
+    derivs = item.derivs
+    if derivs is None:
+        derivs = item.derivs = []
         item.cand = []
-        item.seen = set()
         if item.sym[0] == "w":
-            item.derivs.append((0.0, -1, ()))
+            derivs.append((0.0, -1, ()))
         else:
-            for edge_idx, (rule, tails, weight) in enumerate(item.edges):
+            for edge_idx, (_, tails, _) in enumerate(item.edges):
                 _push_candidate(item, edge_idx, (0,) * len(tails))
-    while len(item.derivs) <= k and item.cand:
-        neg, edge_idx, jvec = heapq.heappop(item.cand)
-        item.derivs.append((-neg, edge_idx, jvec))
-        for pos in range(len(jvec)):
-            bumped = jvec[:pos] + (jvec[pos] + 1,) + jvec[pos + 1:]
-            _push_candidate(item, edge_idx, bumped)
-    return item.derivs[k] if k < len(item.derivs) else None
+    cand = item.cand
+    while len(derivs) <= k:
+        if item.pending is not None:
+            edge_idx, jvec = item.pending
+            item.pending = None
+            # edges have one tail (completions, the goal) or two (prefix
+            # steps); (a, b) bumps a only while b is 0
+            if len(jvec) == 1:
+                _push_candidate(item, edge_idx, (jvec[0] + 1,))
+            else:
+                a, b = jvec
+                if b == 0:
+                    _push_candidate(item, edge_idx, (a + 1, 0))
+                _push_candidate(item, edge_idx, (a, b + 1))
+        if not cand:
+            return None
+        neg, edge_idx, jvec = heapq.heappop(cand)
+        derivs.append((-neg, edge_idx, jvec))
+        item.pending = (edge_idx, jvec)
+    return derivs[k]
 
 
 def _push_candidate(item, edge_idx, jvec):
-    if (edge_idx, jvec) in item.seen:
-        return
-    rule, tails, weight = item.edges[edge_idx]
-    score = weight
+    _, tails, score = item.edges[edge_idx]
     for tail, j in zip(tails, jvec):
         sub = _get_kth(tail, j)
         if sub is None:
             return
         score += sub[0]
-    item.seen.add((edge_idx, jvec))
     heapq.heappush(item.cand, (-score, edge_idx, jvec))
 
 
-def _flatten(item, k, out):
-    """Expand binarized prefix chains back into the rhs item sequence."""
-    if item.sym[0] == "p":
+def _sites(item, k):
+    """(item, k) per substitution site of an 'n' item's k-th derivation.
+
+    Walks the binarized prefix chain of the derivation's rule back into
+    the rhs item sequence, keeping the 'n' items (words carry no
+    subderivation).
+    """
+    _, edge_idx, jvec = item.derivs[k]
+    item, k = item.edges[edge_idx][1][0], jvec[0]
+    sites = []
+    while item.sym[0] == "p":
         _, edge_idx, jvec = item.derivs[k]
-        _, tails, _ = item.edges[edge_idx]
-        left, right = tails
-        _flatten(left, jvec[0], out)
-        out.append((right, jvec[1]))
-    else:
-        out.append((item, k))
+        left, right = item.edges[edge_idx][1]
+        if right.sym[0] == "n":
+            sites.append((right, jvec[1]))
+        item, k = left, jvec[0]
+    if item.sym[0] == "n":
+        sites.append((item, k))
+    sites.reverse()
+    return sites
 
 
 def _realize(item, k, memo):
-    """(tree, rule sequence) for the k-th derivation of an 'n' item.
+    """(bracketed string, rule sequence) for the k-th derivation of an 'n' item.
 
-    Rules come out in leftmost-substitution order: the item's own rule,
-    then each substitution site's subderivation left to right.
+    Memoized per (item, k), so a subderivation shared by many derivations
+    is realized once. The string joins the rule's fragment template with
+    the subderivations' strings, one per substitution site. Rules come out
+    in leftmost-substitution order: the item's own rule, then each
+    substitution site's subderivation left to right.
     """
     got = memo.get((id(item), k))
     if got is not None:
         return got
-    _, edge_idx, jvec = item.derivs[k]
-    rule, tails, _ = item.edges[edge_idx]
-    parts = []
-    _flatten(tails[0], jvec[0], parts)
-    subtrees = []
+    rule = item.edges[item.derivs[k][1]][0]
+    template = rule.template
+    pieces = [None] * (2 * len(template) - 1)
+    pieces[::2] = template
     rules = [rule]
-    sub_sequences = []
-    for part_item, part_k in parts:
-        if part_item.sym[0] == "n":
-            tree, sub_rules = _realize(part_item, part_k, memo)
-            subtrees.append(tree)
-            sub_sequences.append(sub_rules)
-    tree = _fill_sites(rule.fragment.structure, subtrees)
-    for sub_rules in sub_sequences:
+    for i, (site_item, site_k) in enumerate(_sites(item, k)):
+        pieces[2 * i + 1], sub_rules = _realize(site_item, site_k, memo)
         rules.extend(sub_rules)
-    result = (tree, tuple(rules))
+    result = ("".join(pieces), tuple(rules))
     memo[(id(item), k)] = result
     return result
 
 
-def _fill_sites(structure, subtrees):
-    it = iter(subtrees)
+def _substitute_all(fragments):
+    """Tree of a complete derivation: each fragment fills the leftmost site."""
+    rest = iter(fragments)
 
     def build(node):
         children = []
         for child in node.children:
             if isinstance(child, Site):
-                children.append(next(it))
+                children.append(build(next(rest).structure))
             elif isinstance(child, Tree):
                 children.append(build(child))
             else:
                 children.append(child)
         return Tree(node.label, children)
 
-    tree = build(structure)
-    return tree
+    return build(next(rest).structure)
 
 
 def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     """Up to n distinct derivations, best first; [] when there is no parse.
 
     The first derivation is the exact Viterbi best over the unpruned part
-    of the forest. Probabilities are recomputed from the fragments, then
-    checked against the extraction scores.
+    of the forest. Each derivation carries its tree as a bracketed string;
+    no Tree is built here. Probabilities are recomputed from the fragments,
+    then checked against the extraction scores.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -491,28 +537,28 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
             break
         score, edge_idx, jvec = deriv
         _, tails, _ = goal.edges[edge_idx]
-        tree, rules = _realize(tails[0], jvec[0], memo)
+        bracketed, rules = _realize(tails[0], jvec[0], memo)
         logprob = math.fsum(rule.logprob for rule in rules)
         if not math.isclose(logprob, score, rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(
                 "derivation probability drift: %r vs %r" % (logprob, score))
         result.append(Derivation(
             fragments=tuple(rule.fragment for rule in rules),
-            logprob=logprob, tree=tree))
+            logprob=logprob, bracketed=bracketed))
     return result
 
 
 def most_probable_parse(derivations) -> ParseResult:
-    """Group derivations by resulting tree and pick the best summed tree.
+    """Group derivations by bracketed tree and pick the best summed tree.
 
     Ties break on the best single derivation, then on the lexicographically
-    smaller bracketed form.
+    smaller bracketed form. Only the winner's Tree is built.
     """
     if not derivations:
         raise ValueError("most_probable_parse needs at least one derivation")
     groups = {}
     for deriv in derivations:
-        groups.setdefault(write_tree(deriv.tree), []).append(deriv)
+        groups.setdefault(deriv.bracketed, []).append(deriv)
 
     tallies = []
     for bracketed, group in groups.items():

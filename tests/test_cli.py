@@ -1,9 +1,11 @@
+import gc
 from fractions import Fraction
 
 import pytest
 
+import dop.parser
 from dop.cli import main
-from dop import load_model, read_trees, write_tree
+from dop import GrammarError, load_model, read_trees, write_tree
 from dop.modelio import model_to_text
 from dop.tree import write_treebank
 from conftest import TOY_CORPUS, synthetic_treebank
@@ -106,6 +108,36 @@ def test_parse_workers(toy_paths, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "(S (NP john) (VP (V likes) (NP mary)))"
     assert lines[1] == "(S (NP peter) (VP (V hates) (NP susan)))"
+
+
+def test_parse_freezes_model_only_while_parsing(toy_paths, tmp_path,
+                                                monkeypatch):
+    _, model_path = toy_paths
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates susan\n")
+    out = tmp_path / "out.txt"
+    frozen = []
+    parse = dop.parser.SentenceParser.parse
+
+    def recording_parse(self, words):
+        frozen.append(gc.get_freeze_count())
+        return parse(self, words)
+
+    monkeypatch.setattr(dop.parser.SentenceParser, "parse", recording_parse)
+    assert gc.get_freeze_count() == 0
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(out)]) == 0
+    assert len(frozen) == 2 and all(count > 0 for count in frozen)
+    assert gc.get_freeze_count() == 0
+
+    def failing_parse(self, words):
+        raise AssertionError("derivation probability drift")
+
+    monkeypatch.setattr(dop.parser.SentenceParser, "parse", failing_parse)
+    with pytest.raises(AssertionError, match="drift"):
+        main(["parse", "--model", str(model_path), "--input", str(sents),
+              "--output", str(out)])
+    assert gc.get_freeze_count() == 0
 
 
 def test_score_identity(toy_paths, tmp_path, capsys):
@@ -281,6 +313,36 @@ def test_experiment_frontier_word_sweep(tmp_path, capsys):
     assert code == 0
     rows = (out_dir / "table.tsv").read_text().splitlines()
     assert [r.split("\t")[0] for r in rows[1:]] == ["1", "none"]
+
+
+def _experiment_argv(tmp_path):
+    train = tmp_path / "train.mrg"
+    test = tmp_path / "test.mrg"
+    train.write_text(write_treebank(synthetic_treebank(10, seed=6)))
+    test.write_text(write_treebank(synthetic_treebank(2, seed=88)))
+    return ["experiment", "--train", str(train), "--test", str(test),
+            "--sweep", "depth", "--values", "1,2", "--sample-per-depth",
+            "none", "--n-best", "20", "--out", str(tmp_path / "exp")]
+
+
+def test_experiment_reports_data_error_as_failed_point(tmp_path, capsys,
+                                                       monkeypatch):
+    def no_grammar(chart, n):
+        raise GrammarError("no usable grammar")
+
+    monkeypatch.setattr(dop.parser, "nbest_derivations", no_grammar)
+    assert main(_experiment_argv(tmp_path)) == 0
+    rows = (tmp_path / "exp" / "table.tsv").read_text().splitlines()
+    assert rows[1:] == ["1\tFAILED\tFAILED\t-", "2\tFAILED\tFAILED\t-"]
+
+
+def test_experiment_propagates_internal_errors(tmp_path, capsys, monkeypatch):
+    def drift(chart, n):
+        raise AssertionError("derivation probability drift")
+
+    monkeypatch.setattr(dop.parser, "nbest_derivations", drift)
+    with pytest.raises(AssertionError, match="drift"):
+        main(_experiment_argv(tmp_path))
 
 
 def test_score_length_bins(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from dop import (CompositionError, CyclicGrammarError, Fragment,
                  parse_chart, read_treebank, read_trees, to_rules,
                  train_unknown_model, write_tree)
 from dop.parser import Derivation
-from conftest import TOY_HEAD_RULES
+from dop.tree import Treebank
+from conftest import TOY_HEAD_RULES, random_tree
 
 
 def frag(text):
@@ -213,7 +215,8 @@ def test_unary_cycle_raises():
 
 def _dummy_derivation(logprob, bracketed):
     tree = read_trees(bracketed)[0]
-    return Derivation(fragments=(), logprob=logprob, tree=tree)
+    return Derivation(fragments=(Fragment(tree),), logprob=logprob,
+                      bracketed=bracketed)
 
 
 def test_mpp_sums_per_tree():
@@ -300,3 +303,68 @@ def test_sentence_parser_ambiguous_mpp_vs_mpd():
     from dop import exact_mpp
     assert result.tree == exact_mpp(report)
     assert len(report.tree_sums) == 2
+
+
+# ------------------------------------------------- differential vs the oracle
+
+def _exact_log(probability):
+    return math.log(probability.numerator) - math.log(probability.denominator)
+
+
+def _oracle_differential(model, words):
+    report = enumerate_derivations(model, words)
+    parser = SentenceParser(model, n_best=len(report.derivations) + 1,
+                            prune_ratio=1e-300)
+    derivations = parser.derivations(words)
+    # fragments -> logprob, against the oracle's exact probabilities
+    got = {d.fragments: d.logprob for d in derivations}
+    expected = {d.fragments: d.probability for d in report.derivations}
+    assert len(got) == len(derivations)
+    assert set(got) == set(expected)
+    for fragments, logprob in got.items():
+        assert math.isclose(logprob, _exact_log(expected[fragments]),
+                            rel_tol=1e-12, abs_tol=1e-12)
+    # per-tree sums, grouped on the parser's bracketed strings
+    by_tree = {}
+    for derivation in derivations:
+        by_tree.setdefault(derivation.bracketed, []).append(derivation.logprob)
+    assert set(by_tree) == set(report.tree_sums)
+    for bracketed, logs in by_tree.items():
+        top = max(logs)
+        total = top + math.log(sum(math.exp(lp - top) for lp in logs))
+        assert math.isclose(total, _exact_log(report.tree_sums[bracketed]),
+                            rel_tol=1e-12, abs_tol=1e-12)
+    # the string, the on-demand tree and the fragments agree
+    for derivation in derivations:
+        tree = derivation.tree
+        assert derivation.bracketed == write_tree(tree)
+        rebuilt = derivation.fragments[0]
+        for fragment in derivation.fragments[1:]:
+            rebuilt = compose(rebuilt, fragment)
+        if isinstance(rebuilt, Fragment):
+            rebuilt = rebuilt.structure
+        assert rebuilt == tree
+    return len(derivations)
+
+
+def test_differential_against_oracle_on_random_banks():
+    rng = random.Random(20001)
+    banks = derivations = cyclic = 0
+    while banks < 25:
+        bank = Treebank(tuple(random_tree(rng, max_internal=7, max_depth=3)
+                              for _ in range(rng.randint(1, 3))))
+        model = build_model(extract_treebank(bank), RestrictionSet(),
+                            TOY_HEAD_RULES,
+                            start_labels={t.label for t in bank.trees})
+        if SentenceParser(model).parser.grammar.unary_cycle is not None:
+            cyclic += 1       # infinite derivation sets; covered elsewhere
+            continue
+        banks += 1
+        for tree in bank.trees:
+            words = tree.leaves()
+            derivations += _oracle_differential(model, words)
+            # a reordering may have no parse; both sides must agree on it
+            derivations += _oracle_differential(
+                model, rng.sample(words, len(words)))
+    assert derivations > 500
+    assert cyclic < banks
