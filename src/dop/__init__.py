@@ -6,24 +6,23 @@ and score with PARSEVAL. An exact rational-arithmetic oracle enumerates
 complete derivation sets on small instances.
 """
 
-from .tree import (Tree, Treebank, TreeReadError, constituents, normalize,
-                   normalize_treebank, read_treebank, read_trees, write_tree)
+from .tree import (Site, Tree, Treebank, TreeReadError, constituents,
+                   normalize, normalize_treebank, read_treebank, read_trees,
+                   write_tree)
 from .heads import HeadRuleTable, default_head_rules
 from .fragments import (Fragment, FragmentOverflowError, RestrictionSet,
-                        SamplingError, Site, canonical_key, depth1_fragment,
-                        dump_fragments, extract_all, extract_treebank,
-                        fragment_depth, headword, nonheadword_count, passes,
-                        sample_fragments)
+                        SamplingError, depth1_fragment, dump_fragments,
+                        extract_all, extract_treebank, headword,
+                        nonheadword_count, passes, sample_fragments)
 from .model import (FragmentModel, GrammarError, UnknownWordModel,
                     build_model, derivation_probability, good_turing_adjust,
-                    tag_unknown, train_unknown_model)
+                    train_unknown_model)
 from .modelio import load_model, model_from_text, model_to_text, write_model
-from .parser import (ChartParser, CompositionError, CyclicGrammarError,
-                     Derivation, IndexedRule, ParseResult, SentenceParser,
-                     compose, most_probable_parse, nbest_derivations,
-                     parse_chart, to_rules)
-from .oracle import (OracleOverflowError, OracleReport, enumerate_derivations,
-                     exact_mpp)
+from .parser import (ChartParser, CyclicGrammarError, Derivation,
+                     IndexedRule, ParseResult, SentenceParser,
+                     most_probable_parse, nbest_derivations, to_rules)
+from .oracle import (CompositionError, OracleOverflowError, OracleReport,
+                     compose, enumerate_derivations, exact_mpp)
 from .parseval import ScoreReport, YieldMismatchError, score_corpus, score_pair
 
 __version__ = "0.1.0"

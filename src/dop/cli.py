@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .fragments import (FragmentOverflowError, RestrictionSet, SamplingError,
-                        depth1_fragment, extract_all, sample_fragments)
+                        depth1_fragment, extract_treebank, sample_fragments)
 from .heads import HeadRuleTable, default_head_rules
 from .model import (GrammarError, build_model, good_turing_adjust,
                     train_unknown_model)
@@ -59,9 +59,6 @@ class ExperimentConfig:
     grid: list                # (bound string, RestrictionSet) per grid point
     n_best: int
     prune_ratio: float
-    seed: int
-    smoothing: bool
-    unknown_threshold: int
     workers: int
     out_dir: str
 
@@ -240,10 +237,7 @@ def collect_fragments(treebank, restriction, seed, cache=None, digest=""):
     if per_depth is None:
         key = (digest, "exhaustive")
         if key not in cache:
-            whole = Counter()
-            for tree in treebank.trees:
-                whole.update(extract_all(tree))
-            cache[key] = whole
+            cache[key] = extract_treebank(treebank)
         fragments.update(cache[key])
         for fragment, count in fragments.items():
             depth_counts[fragment.depth] += count
@@ -356,7 +350,10 @@ def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
         try:
             rows = [_worker_parse(job) for job in jobs]
         finally:
+            # in-process callers get the collector back, and the model can
+            # go as soon as they drop it
             gc.unfreeze()
+            del _WORKER_STATE["parser"]
     rows.sort(key=lambda r: r[0])
     return [row[1:] for row in rows]
 
@@ -396,12 +393,14 @@ def cmd_experiment(args) -> int:
             for name in ("max_depth", "max_frontier_words", "max_unlex_depth",
                          "max_nonheadwords", "sample_per_depth")})
         grid.append((raw, restriction))
+    # a bad training option fails the command here, not every grid point
+    options.smoothing()
+    options.integer("seed")
+    options.integer("unknown_threshold")
     config = ExperimentConfig(
         train_path=args.train, test_path=args.test, grid=grid,
         n_best=options.integer("n_best"),
         prune_ratio=options.floating("prune_ratio"),
-        seed=options.integer("seed"), smoothing=options.smoothing(),
-        unknown_threshold=options.integer("unknown_threshold"),
         workers=options.integer("workers"), out_dir=args.out)
     return run_experiment(config, options)
 

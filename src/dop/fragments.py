@@ -6,16 +6,17 @@ child subtree is either expanded in full depth-1 steps or cut off as a
 frontier substitution site. Frontier positions therefore hold words or
 `Site` markers.
 
-Canonical text form: internal nodes as ``(label child ...)``, substitution
-sites as ``(label)``, words bare — ``(S (NP john) (VP))`` is the fragment
-with an expanded subject and an open VP site.
+Canonical text form, written by `tree.write_tree`: internal nodes as
+``(label child ...)``, substitution sites as ``(label)``, words bare —
+``(S (NP john) (VP))`` is the fragment with an expanded subject and an
+open VP site.
 """
 
 import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .tree import Tree, Treebank, _tokenize
+from .tree import Site, Tree, Treebank, _tokenize, write_tree
 from .heads import HeadRuleTable
 
 
@@ -25,30 +26,6 @@ class FragmentOverflowError(ValueError):
 
 class SamplingError(ValueError):
     """No node in the treebank supports the requested fragment depth."""
-
-
-class Site:
-    """A frontier substitution site: a nonterminal awaiting expansion."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label):
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Site is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Site) and self.label == other.label
-
-    def __hash__(self):
-        return hash((Site, self.label))
-
-    def __reduce__(self):
-        return (Site, (self.label,))
-
-    def __repr__(self):
-        return "Site(%r)" % self.label
 
 
 def _node_label(child):
@@ -62,7 +39,7 @@ class Fragment:
 
     def __init__(self, structure: Tree):
         object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "key", _write_key(structure))
+        object.__setattr__(self, "key", write_tree(structure))
         object.__setattr__(self, "_depth", None)
         object.__setattr__(self, "_frontier", None)
 
@@ -104,10 +81,6 @@ class Fragment:
     def frontier_word_count(self) -> int:
         return sum(1 for item in self.frontier if isinstance(item, str))
 
-    @property
-    def is_lexicalized(self) -> bool:
-        return self.frontier_word_count > 0
-
     def __eq__(self, other):
         return isinstance(other, Fragment) and self.key == other.key
 
@@ -132,20 +105,6 @@ def _depth_of(node):
         else:
             best = max(best, 0)
     return 1 + best
-
-
-def _write_key(node):
-    parts = ["(", node.label]
-    for child in node.children:
-        parts.append(" ")
-        if isinstance(child, Tree):
-            parts.append(_write_key(child))
-        elif isinstance(child, Site):
-            parts.append("(%s)" % child.label)
-        else:
-            parts.append(child)
-    parts.append(")")
-    return "".join(parts)
 
 
 def _read_key(text):
@@ -185,15 +144,6 @@ def _read_key(text):
     if not isinstance(root, Tree):
         fail("fragment must have at least one level")
     return root
-
-
-def canonical_key(fragment: Fragment) -> str:
-    return fragment.key
-
-
-def fragment_depth(fragment: Fragment) -> int:
-    """Edges on the longest root-to-frontier path."""
-    return fragment.depth
 
 
 def count_fragments(tree: Tree) -> int:
@@ -430,12 +380,6 @@ def passes(fragment: Fragment, restriction: RestrictionSet,
             and nonheadword_count(fragment, rules) > r.max_nonheadwords):
         return False
     return True
-
-
-def filter_fragments(fragments: Counter, restriction: RestrictionSet,
-                     rules: HeadRuleTable) -> Counter:
-    return Counter({f: c for f, c in fragments.items()
-                    if passes(f, restriction, rules)})
 
 
 def dump_fragments(fragments: Counter) -> list:

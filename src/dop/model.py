@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fragments import (Fragment, RestrictionSet, filter_fragments)
+from .fragments import Fragment, RestrictionSet, passes
 from .heads import HeadRuleTable
 from .tree import Treebank
 
@@ -44,14 +44,29 @@ class UnknownWordModel:
     open_class: tuple
 
     def tag_distribution(self, word: str) -> dict:
-        return tag_unknown(self, word)
+        """Preterminal distribution for an out-of-vocabulary word.
+
+        Backs off from (suffix, flags) to suffix alone, longest suffix
+        first, and finally to uniform over the open classes. Sums to
+        exactly 1.
+        """
+        suffixes, caps, hyphen, digit = word_features(word)
+        for suffix in suffixes:
+            stats = self.full_stats.get((suffix, caps, hyphen, digit))
+            if stats:
+                return _normalize(stats)
+        for suffix in suffixes:
+            stats = self.suffix_stats.get(suffix)
+            if stats:
+                return _normalize(stats)
+        share = Fraction(1, len(self.open_class))
+        return {tag: share for tag in self.open_class}
 
 
 @dataclass
 class FragmentModel:
     entries: dict                     # canonical key -> ModelEntry
     root_totals: dict                 # root label -> total count
-    head_rules: HeadRuleTable
     restriction: RestrictionSet
     start_labels: frozenset
     priors: dict                      # label -> Fraction, for pruning scores
@@ -62,9 +77,6 @@ class FragmentModel:
     def probability(self, key: str) -> Fraction:
         entry = self.entries.get(key)
         return entry.probability if entry else Fraction(0)
-
-    def fragments(self):
-        return (e.fragment for e in self.entries.values())
 
     def lexical_words(self) -> set:
         words = set()
@@ -88,7 +100,8 @@ def build_model(fragments: Counter, restriction: RestrictionSet,
     the caller filtered. start_labels defaults to every observed root
     label; the trainer passes the actual treebank roots.
     """
-    kept = filter_fragments(fragments, restriction, rules)
+    kept = {fragment: count for fragment, count in fragments.items()
+            if passes(fragment, restriction, rules)}
     if not kept:
         raise GrammarError("no fragments pass the restriction; empty grammar")
 
@@ -106,11 +119,11 @@ def build_model(fragments: Counter, restriction: RestrictionSet,
     if priors is None:
         priors = _default_priors(kept, root_totals)
     return FragmentModel(entries=entries, root_totals=dict(root_totals),
-                         head_rules=rules, restriction=restriction,
+                         restriction=restriction,
                          start_labels=frozenset(start_labels), priors=priors)
 
 
-def _default_priors(fragments: Counter, root_totals) -> dict:
+def _default_priors(fragments: dict, root_totals) -> dict:
     # relative node-label frequency, read off the depth-1 fragment counts
     counts = Counter()
     for fragment, count in fragments.items():
@@ -182,7 +195,6 @@ def good_turing_adjust(model: FragmentModel) -> FragmentModel:
         new_totals[root] = new_total
         reserved[root] = p0
     return FragmentModel(entries=new_entries, root_totals=new_totals,
-                         head_rules=model.head_rules,
                          restriction=model.restriction,
                          start_labels=model.start_labels,
                          priors=model.priors, smoothed=True,
@@ -224,25 +236,6 @@ def train_unknown_model(treebank: Treebank, threshold: int) -> UnknownWordModel:
     return UnknownWordModel(threshold=threshold, full_stats=dict(full_stats),
                             suffix_stats=dict(suffix_stats),
                             open_class=tuple(sorted(open_class)))
-
-
-def tag_unknown(model: UnknownWordModel, word: str) -> dict:
-    """Preterminal distribution for an out-of-vocabulary word.
-
-    Backs off from (suffix, flags) to suffix alone, longest suffix first,
-    and finally to uniform over the open classes. Sums to exactly 1.
-    """
-    suffixes, caps, hyphen, digit = word_features(word)
-    for suffix in suffixes:
-        stats = model.full_stats.get((suffix, caps, hyphen, digit))
-        if stats:
-            return _normalize(stats)
-    for suffix in suffixes:
-        stats = model.suffix_stats.get(suffix)
-        if stats:
-            return _normalize(stats)
-    share = Fraction(1, len(model.open_class))
-    return {tag: share for tag in model.open_class}
 
 
 def _normalize(counts: Counter) -> dict:

@@ -14,14 +14,15 @@ Layout (all fields tab-separated, fractions as "a/b")::
     count<TAB>probability<TAB>canonical_key
 
 Everything is sorted (roots and priors by label, entries by root then key)
-so equal models serialize to identical bytes.
+so equal models serialize to identical bytes. Head rules are not stored:
+they decide which fragments pass the restriction at training time, and a
+loaded model has no use for them.
 """
 
 from collections import Counter, defaultdict
 from fractions import Fraction
 
 from .fragments import Fragment, RestrictionSet
-from .heads import default_head_rules
 from .model import FragmentModel, ModelEntry, UnknownWordModel
 
 _FORMAT_VERSION = "1"
@@ -142,8 +143,7 @@ def model_from_text(text: str) -> FragmentModel:
             threshold=unk_threshold, full_stats=dict(unk_stats),
             suffix_stats=dict(suffix_stats), open_class=tuple(sorted(tags)))
     model = FragmentModel(
-        entries=entries, root_totals=root_totals,
-        head_rules=default_head_rules(), restriction=restriction,
+        entries=entries, root_totals=root_totals, restriction=restriction,
         start_labels=frozenset(start), priors=priors, smoothed=smoothed,
         reserved_mass={k: v for k, v in reserved.items() if v},
         unknown_words=unknown)

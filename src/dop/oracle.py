@@ -3,21 +3,62 @@
 Enumerates every derivation of a sentence by expanding the leftmost open
 substitution site with each matching model fragment, in exact rational
 arithmetic throughout. This is deliberately independent of the chart
-parser: trees are built by left-associative composition and probabilities
-multiply model fractions, so agreement between the two paths checks both.
+parser and imports nothing from it: trees are built by left-associative
+composition (`compose`, defined here) and probabilities multiply model
+fractions, so agreement between the two paths checks both.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fragments import Fragment, Site
+from .fragments import Fragment
 from .model import FragmentModel
-from .parser import compose
-from .tree import Tree, write_tree
+from .tree import Site, Tree, write_tree
 
 
 class OracleOverflowError(ValueError):
     """The enumeration cap was exceeded (huge or cyclic derivation sets)."""
+
+
+class CompositionError(ValueError):
+    pass
+
+
+def compose(left, right):
+    """Substitute `right` on the leftmost open site of `left`.
+
+    Left may be a Fragment or a Tree (a Tree has no open site and always
+    fails); right is a Fragment or a closed Tree. Returns a Tree when the
+    result has no remaining site, else a Fragment.
+    """
+    lstruct = left.structure if isinstance(left, Fragment) else left
+    rstruct = right.structure if isinstance(right, Fragment) else right
+
+    def substitute(node):
+        # returns (new node, replaced?) rebuilding only the leftmost path
+        children = list(node.children)
+        for i, child in enumerate(children):
+            if isinstance(child, Site):
+                if child.label != rstruct.label:
+                    raise CompositionError(
+                        "leftmost open site is %s, cannot substitute %s"
+                        % (child.label, rstruct.label))
+                children[i] = rstruct
+                return Tree(node.label, children), True
+            if isinstance(child, Tree):
+                new_child, done = substitute(child)
+                if done:
+                    children[i] = new_child
+                    return Tree(node.label, children), True
+        return node, False
+
+    result, done = substitute(lstruct)
+    if not done:
+        raise CompositionError("no open substitution site on the left operand")
+    fragment = Fragment(result)
+    if any(isinstance(item, Site) for item in fragment.frontier):
+        return fragment
+    return result
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .fragments import Fragment, Site
+from .fragments import Fragment
 from .model import FragmentModel
-from .tree import Tree
-
-
-class CompositionError(ValueError):
-    pass
+from .tree import Site, Tree
 
 
 class CyclicGrammarError(ValueError):
@@ -41,7 +37,6 @@ class IndexedRule:
     lhs: str
     rhs: tuple                # fragment frontier: Site markers and words
     fragment: Fragment
-    probability: Fraction
     logprob: float
     index: int
 
@@ -69,53 +64,8 @@ def to_rules(model: FragmentModel) -> list:
         fragment = entry.fragment
         rules.append(IndexedRule(
             lhs=fragment.root, rhs=fragment.frontier, fragment=fragment,
-            probability=entry.probability, logprob=_log(entry.probability),
-            index=len(rules)))
+            logprob=_log(entry.probability), index=len(rules)))
     return rules
-
-
-def compose(left, right):
-    """Substitute `right` on the leftmost open site of `left`.
-
-    Left may be a Fragment or a Tree (a Tree has no open site and always
-    fails); right is a Fragment or a closed Tree. Returns a Tree when the
-    result has no remaining site, else a Fragment.
-    """
-    lstruct = left.structure if isinstance(left, Fragment) else left
-    rstruct = right.structure if isinstance(right, Fragment) else right
-
-    def substitute(node):
-        # returns (new node, replaced?) rebuilding only the leftmost path
-        children = list(node.children)
-        for i, child in enumerate(children):
-            if isinstance(child, Site):
-                if child.label != rstruct.label:
-                    raise CompositionError(
-                        "leftmost open site is %s, cannot substitute %s"
-                        % (child.label, rstruct.label))
-                children[i] = rstruct
-                return Tree(node.label, children), True
-            if isinstance(child, Tree):
-                new_child, done = substitute(child)
-                if done:
-                    children[i] = new_child
-                    return Tree(node.label, children), True
-        return node, False
-
-    result, done = substitute(lstruct)
-    if not done:
-        raise CompositionError("no open substitution site on the left operand")
-    if any(isinstance(item, Site) for item in _frontier_of(result)):
-        return Fragment(result)
-    return result
-
-
-def _frontier_of(node):
-    for child in node.children:
-        if isinstance(child, Tree):
-            yield from _frontier_of(child)
-        else:
-            yield child
 
 
 def _symbol(rhs_element):
@@ -131,7 +81,6 @@ class _Grammar:
         self.first_step = {}          # symbol -> trie node
         self.steps = {}               # (trie node, symbol) -> trie node
         self.completions = defaultdict(list)   # trie node -> [(lhs, rule)]
-        self.lhs_labels = set()
         unary_edges = defaultdict(set)
         counter = 0
         for rule in rules:
@@ -150,7 +99,6 @@ class _Grammar:
                         counter += 1
                 prev = node
             self.completions[node].append((rule.lhs, rule))
-            self.lhs_labels.add(rule.lhs)
             if len(rule.rhs) == 1 and isinstance(rule.rhs[0], Site):
                 unary_edges[rule.lhs].add(rule.rhs[0].label)
         self.unary_cycle = _find_cycle(unary_edges)
@@ -243,12 +191,13 @@ class Chart:
 class ChartParser:
     """Reusable parser over a fixed rule set.
 
-    prune_ratio follows the per-span threshold convention: after a span's
+    A parse is an item over the whole sentence labeled with one of
+    start_labels. prune_ratio follows the per-span threshold convention: after a span's
     items are complete, any real (non-dotted) item whose prior-weighted
     score is below prune_ratio times the span's best is dropped.
     """
 
-    def __init__(self, rules, priors=None, prune_ratio=1e-5, start_labels=None):
+    def __init__(self, rules, start_labels, priors=None, prune_ratio=1e-5):
         if not 0.0 < prune_ratio <= 1.0:
             raise ValueError("prune_ratio must be in (0, 1]")
         self.rules = list(rules)
@@ -259,8 +208,6 @@ class ChartParser:
                             if p > 0}
         self._default_log_prior = (min(self._log_priors.values())
                                    if self._log_priors else 0.0)
-        if start_labels is None:
-            start_labels = sorted(self.grammar.lhs_labels)
         self.start_labels = tuple(sorted(start_labels))
 
     def _log_prior(self, label):
@@ -364,14 +311,6 @@ class ChartParser:
         for sym, score in scored.items():
             if score < threshold:
                 del cell[sym]
-
-
-def parse_chart(rules, sentence, prune_ratio=1e-5, priors=None,
-                start_labels=None, extra_rules=()) -> Chart:
-    """Build the pruned chart for one sentence; see ChartParser for reuse."""
-    parser = ChartParser(rules, priors=priors, prune_ratio=prune_ratio,
-                         start_labels=start_labels)
-    return parser.chart(sentence, extra_rules=extra_rules)
 
 
 @dataclass(frozen=True)
@@ -600,9 +539,8 @@ class SentenceParser:
         self.model = model
         self.n_best = n_best
         self.rules = to_rules(model)
-        self.parser = ChartParser(self.rules, priors=model.priors,
-                                  prune_ratio=prune_ratio,
-                                  start_labels=sorted(model.start_labels))
+        self.parser = ChartParser(self.rules, model.start_labels,
+                                  priors=model.priors, prune_ratio=prune_ratio)
         self.vocabulary = model.lexical_words()
         self._next_rule_index = len(self.rules)
 
@@ -628,7 +566,7 @@ class SentenceParser:
                 fragment = Fragment(Tree(tag, (word,)))
                 rules.append(IndexedRule(
                     lhs=tag, rhs=fragment.frontier, fragment=fragment,
-                    probability=probability, logprob=_log(probability),
+                    logprob=_log(probability),
                     index=self._next_rule_index + len(rules)))
         return rules
 

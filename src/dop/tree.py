@@ -2,7 +2,8 @@
 
 Trees are immutable. A node is ``Tree(label, children)`` where children is
 a tuple of subtrees, except at preterminals: a terminal word is stored as a
-plain string and must be the only child of its parent.
+plain string and must be the only child of its parent. Fragment structures
+are trees whose frontier may also hold `Site` substitution markers.
 """
 
 from collections import Counter
@@ -16,6 +17,30 @@ class TreeReadError(ValueError):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
         self.line = line
         self.col = col
+
+
+class Site:
+    """A frontier substitution site: a nonterminal awaiting expansion."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label):
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Site is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, Site) and self.label == other.label
+
+    def __hash__(self):
+        return hash((Site, self.label))
+
+    def __reduce__(self):
+        return (Site, (self.label,))
+
+    def __repr__(self):
+        return "Site(%r)" % self.label
 
 
 class Tree:
@@ -186,23 +211,21 @@ def read_treebank(text: str) -> Treebank:
 def write_tree(tree: Tree) -> str:
     """Bracketed form; inverse of read_trees for a single tree.
 
+    Substitution sites inside a fragment structure are written ``(label)``.
+
     >>> write_tree(read_trees("(S  (NP john)\\n (VP (V sleeps)))")[0])
     '(S (NP john) (VP (V sleeps)))'
     """
-    parts = []
-
-    def emit(node):
-        parts.append("(")
-        parts.append(node.label)
-        for child in node.children:
-            parts.append(" ")
-            if isinstance(child, str):
-                parts.append(child)
-            else:
-                emit(child)
-        parts.append(")")
-
-    emit(tree)
+    parts = ["(", tree.label]
+    for child in tree.children:
+        parts.append(" ")
+        if isinstance(child, Tree):
+            parts.append(write_tree(child))
+        elif isinstance(child, Site):
+            parts.append("(%s)" % child.label)
+        else:
+            parts.append(child)
+    parts.append(")")
     return "".join(parts)
 
 

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from dop import (Fragment, RestrictionSet, SentenceParser, Site, Tree,
-                 build_model, enumerate_derivations, exact_mpp, extract_all,
-                 extract_treebank, good_turing_adjust,
-                 most_probable_parse, nbest_derivations, parse_chart,
-                 read_treebank, sample_fragments, score_corpus, score_pair,
-                 to_rules, train_unknown_model, write_tree)
+from dop import (ChartParser, Fragment, RestrictionSet, SentenceParser, Site,
+                 Tree, build_model, enumerate_derivations, exact_mpp,
+                 extract_all, extract_treebank, good_turing_adjust,
+                 most_probable_parse, nbest_derivations, read_treebank,
+                 sample_fragments, score_corpus, score_pair, to_rules,
+                 train_unknown_model, write_tree)
 from dop.fragments import count_fragments, passes
 from dop.tree import write_treebank
 
@@ -82,9 +82,9 @@ def test_criterion_1_oracle_equivalence():
         for sentence in sentences:
             words = sentence.split()
             report = enumerate_derivations(model, words)
-            chart = parse_chart(rules, words, prune_ratio=1e-300,
+            chart = ChartParser(rules, start_labels=model.start_labels,
                                 priors=model.priors,
-                                start_labels=sorted(model.start_labels))
+                                prune_ratio=1e-300).chart(words)
             derivations = nbest_derivations(
                 chart, max(len(report.derivations) + 10, 16))
             # identical derivation multisets, as fragment-key sequences
@@ -169,8 +169,8 @@ def test_criterion_4_depth1_equivalence():
     checked = 0
     for tree in bank.trees[:8]:
         words = tree.leaves()
-        chart = parse_chart(rules, words, prune_ratio=1e-300,
-                            priors=model.priors, start_labels=["S"])
+        chart = ChartParser(rules, start_labels=["S"], priors=model.priors,
+                            prune_ratio=1e-300).chart(words)
         derivations = nbest_derivations(chart, 100000)
         per_tree = Counter(write_tree(d.tree) for d in derivations)
         assert per_tree and all(n == 1 for n in per_tree.values())

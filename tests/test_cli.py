@@ -1,10 +1,11 @@
 import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import dop.parser
-from dop.cli import main
+from dop.cli import _parse_corpus, main
 from dop import GrammarError, load_model, read_trees, write_tree
 from dop.modelio import model_to_text
 from dop.tree import write_treebank
@@ -138,6 +139,28 @@ def test_parse_freezes_model_only_while_parsing(toy_paths, tmp_path,
         main(["parse", "--model", str(model_path), "--input", str(sents),
               "--output", str(out)])
     assert gc.get_freeze_count() == 0
+
+
+def test_serial_parse_releases_model(toy_paths, monkeypatch):
+    _, model_path = toy_paths
+    sentences = [["john", "likes", "mary"]]
+    model = load_model(model_path)
+    alive = weakref.ref(model)
+    rows = _parse_corpus(model, sentences, 100, 1e-5, 1)
+    assert rows[0][0] == "(S (NP john) (VP (V likes) (NP mary)))"
+    del model
+    assert alive() is None
+
+    def failing_parse(self, words):
+        raise AssertionError("derivation probability drift")
+
+    monkeypatch.setattr(dop.parser.SentenceParser, "parse", failing_parse)
+    model = load_model(model_path)
+    alive = weakref.ref(model)
+    with pytest.raises(AssertionError, match="drift"):
+        _parse_corpus(model, sentences, 100, 1e-5, 1)
+    del model
+    assert alive() is None
 
 
 def test_score_identity(toy_paths, tmp_path, capsys):
@@ -334,6 +357,14 @@ def test_experiment_reports_data_error_as_failed_point(tmp_path, capsys,
     assert main(_experiment_argv(tmp_path)) == 0
     rows = (tmp_path / "exp" / "table.tsv").read_text().splitlines()
     assert rows[1:] == ["1\tFAILED\tFAILED\t-", "2\tFAILED\tFAILED\t-"]
+
+
+def test_experiment_bad_training_option_is_data_error(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("seed=abc\n")
+    argv = _experiment_argv(tmp_path) + ["--config", str(config)]
+    assert main(argv) == 2
+    assert not (tmp_path / "exp").exists()
 
 
 def test_experiment_propagates_internal_errors(tmp_path, capsys, monkeypatch):

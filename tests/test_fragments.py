@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 
 from dop import (Fragment, FragmentOverflowError, RestrictionSet,
-                 SamplingError, Site, Tree, canonical_key, depth1_fragment,
-                 extract_all, extract_treebank, fragment_depth, headword,
-                 nonheadword_count, passes, read_trees, sample_fragments)
+                 SamplingError, Site, Tree, depth1_fragment, extract_all,
+                 extract_treebank, headword, nonheadword_count, passes,
+                 read_trees, sample_fragments, write_tree)
 from conftest import TOY_HEAD_RULES, random_tree
 
 
@@ -138,9 +138,9 @@ def test_sampled_fragments_are_real(toy_treebank):
 
 
 def test_fragment_depth_examples():
-    assert fragment_depth(frag("(S (NP) (VP))")) == 1
-    assert fragment_depth(frag("(S (NP john) (VP (V likes) (NP mary)))")) == 3
-    assert fragment_depth(frag("(S (NP john) (VP))")) == 2
+    assert frag("(S (NP) (VP))").depth == 1
+    assert frag("(S (NP john) (VP (V likes) (NP mary)))").depth == 3
+    assert frag("(S (NP john) (VP))").depth == 2
 
 
 def test_headword_examples():
@@ -258,8 +258,19 @@ def test_canonical_key_round_trip():
     for text in ("(V likes)", "(S (NP) (VP (V likes) (NP)))",
                  "(X (A a) (B))"):
         fragment = frag(text)
-        assert canonical_key(fragment) == text
+        assert fragment.key == text
         assert Fragment.from_string(fragment.key) == fragment
+
+
+def test_key_is_written_structure_and_repr_shows_sites():
+    for text in ("(S (NP john) (VP))", "(S (NP) (VP (V likes) (NP)))",
+                 "(V likes)"):
+        fragment = frag(text)
+        assert write_tree(fragment.structure) == fragment.key
+        assert repr(fragment.structure) == "Tree(%s)" % text
+    tree = read_trees("(S (NP john) (VP (V likes) (NP mary)))")[0]
+    for fragment in extract_all(tree):
+        assert write_tree(fragment.structure) == fragment.key
 
 
 def test_depth1_fragment_is_single_level():

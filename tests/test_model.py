@@ -7,8 +7,7 @@ import pytest
 
 from dop import (Fragment, GrammarError, RestrictionSet, build_model,
                  derivation_probability, extract_all, extract_treebank,
-                 good_turing_adjust, read_treebank, tag_unknown,
-                 train_unknown_model)
+                 good_turing_adjust, read_treebank, train_unknown_model)
 from dop.model import word_features
 from dop.tree import Treebank
 from conftest import TOY_HEAD_RULES, random_tree
@@ -220,15 +219,15 @@ def test_unknown_model_suffix_statistics():
 def test_tag_unknown_backs_off_to_shared_suffix():
     bank = read_treebank(UNK_CORPUS)
     model = train_unknown_model(bank, threshold=5)
-    distribution = tag_unknown(model, "walked")
+    distribution = model.tag_distribution("walked")
     assert distribution == {"VBN": Fraction(3, 4), "VBD": Fraction(1, 4)}
 
 
 def test_tag_unknown_uniform_fallback():
     bank = read_treebank(UNK_CORPUS)
     model = train_unknown_model(bank, threshold=5)
-    assert tag_unknown(model, "zzz") == {"VBD": Fraction(1, 2),
-                                         "VBN": Fraction(1, 2)}
+    assert model.tag_distribution("zzz") == {"VBD": Fraction(1, 2),
+                                             "VBN": Fraction(1, 2)}
 
 
 def test_tag_unknown_always_normalized():
@@ -239,7 +238,7 @@ def test_tag_unknown_always_normalized():
     for _ in range(50):
         word = "".join(rng.choice(alphabet)
                        for _ in range(rng.randint(1, 10)))
-        assert sum(tag_unknown(model, word).values()) == 1
+        assert sum(model.tag_distribution(word).values()) == 1
 
 
 def test_word_features():

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from dop import (CompositionError, CyclicGrammarError, Fragment,
+from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
                  RestrictionSet, SentenceParser, Site, Tree, build_model,
                  compose, derivation_probability, enumerate_derivations,
                  extract_treebank, most_probable_parse, nbest_derivations,
-                 parse_chart, read_treebank, read_trees, to_rules,
-                 train_unknown_model, write_tree)
+                 read_treebank, read_trees, to_rules, train_unknown_model,
+                 write_tree)
 from dop.parser import Derivation
 from dop.tree import Treebank
 from conftest import TOY_HEAD_RULES, random_tree
@@ -71,41 +71,40 @@ def test_to_rules_bijection(toy_model):
     assert len({r.index for r in rules}) == len(rules)
     for rule in rules:
         entry = toy_model.entries[rule.fragment.key]
-        assert rule.probability == entry.probability
         assert math.isclose(rule.logprob, math.log(float(entry.probability)))
 
 
 # ---------------------------------------------------------------- chart
 
 def test_chart_full_span_start_item(toy_model):
-    chart = parse_chart(to_rules(toy_model), "john likes mary".split(),
-                        prune_ratio=1e-300, priors=toy_model.priors,
-                        start_labels=["S"])
+    chart = ChartParser(to_rules(toy_model), start_labels=["S"],
+                        priors=toy_model.priors,
+                        prune_ratio=1e-300).chart("john likes mary".split())
     assert chart.item("S", 0, 3) is not None
     assert chart.start_items
 
 
 def test_chart_uncovered_word_is_no_parse(toy_model):
-    chart = parse_chart(to_rules(toy_model), "john likes zebras".split(),
-                        prune_ratio=1e-300, priors=toy_model.priors,
-                        start_labels=["S"])
+    chart = ChartParser(to_rules(toy_model), start_labels=["S"],
+                        priors=toy_model.priors,
+                        prune_ratio=1e-300).chart("john likes zebras".split())
     assert not chart.start_items
     assert nbest_derivations(chart, 10) == []
 
 
 def test_chart_rejects_bad_ratio(toy_model):
     with pytest.raises(ValueError):
-        parse_chart(to_rules(toy_model), ["john"], prune_ratio=0.0)
+        ChartParser(to_rules(toy_model), start_labels=["S"], prune_ratio=0.0)
     with pytest.raises(ValueError):
-        parse_chart(to_rules(toy_model), ["john"], prune_ratio=1.5)
+        ChartParser(to_rules(toy_model), start_labels=["S"], prune_ratio=1.5)
 
 
 # ---------------------------------------------------------------- n-best
 
 def nbest(model, sentence, n=100000, ratio=1e-300):
-    chart = parse_chart(to_rules(model), sentence, prune_ratio=ratio,
+    chart = ChartParser(to_rules(model), start_labels=model.start_labels,
                         priors=model.priors,
-                        start_labels=sorted(model.start_labels))
+                        prune_ratio=ratio).chart(sentence)
     return nbest_derivations(chart, n)
 
 
@@ -205,8 +204,8 @@ def test_unary_cycle_raises():
                          frag("(A w)"): 1, frag("(B v)"): 1})
     model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
                         start_labels={"A"})
-    chart = parse_chart(to_rules(model), ["w"], prune_ratio=1e-300,
-                        start_labels=["A"])
+    chart = ChartParser(to_rules(model), start_labels=["A"],
+                        prune_ratio=1e-300).chart(["w"])
     with pytest.raises(CyclicGrammarError):
         nbest_derivations(chart, 10)
 
