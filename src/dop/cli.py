@@ -314,8 +314,16 @@ _WORKER_STATE = {}
 
 
 def _worker_init(model, n_best, prune_ratio):
-    _WORKER_STATE["parser"] = SentenceParser(model, n_best=n_best,
-                                             prune_ratio=prune_ratio)
+    # The parser's indexes form no cycles: the collector stays off while
+    # they are built, as in load_model, and then back as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _WORKER_STATE["parser"] = SentenceParser(model, n_best=n_best,
+                                                 prune_ratio=prune_ratio)
+    finally:
+        if enabled:
+            gc.enable()
     # The model and the parser's indexes outlive every sentence. Frozen,
     # they are left out of the cycle collector's full collections, which
     # would otherwise re-scan them every few sentences (a pause that grows

@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .tree import Site, Tree, Treebank, _tokenize, write_tree
+from .tree import _TOKEN, Site, Tree, Treebank, _tokenize, write_tree
 from .heads import HeadRuleTable
 
 
@@ -48,7 +48,14 @@ class Fragment:
 
     @classmethod
     def from_string(cls, key: str) -> "Fragment":
-        return cls(_read_key(key))
+        """Read a key in any spacing; the fragment's key is the canonical form."""
+        structure, frontier, canonical = _read_key(key)
+        fragment = object.__new__(cls)
+        object.__setattr__(fragment, "structure", structure)
+        object.__setattr__(fragment, "key", canonical)
+        object.__setattr__(fragment, "_depth", None)
+        object.__setattr__(fragment, "_frontier", frontier)
+        return fragment
 
     @property
     def root(self) -> str:
@@ -108,42 +115,54 @@ def _depth_of(node):
 
 
 def _read_key(text):
-    tokens = list(_tokenize(text))
-    pos = 0
+    """(structure, frontier, canonical key) of a bracketed key, in one pass.
 
+    The canonical key is the tokens rejoined with single spaces, none just
+    inside a bracket: what `write_tree` makes of the structure.
+    """
     def fail(msg):
         raise ValueError("bad fragment key %r: %s" % (text, msg))
 
-    def node():
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != "(":
-            fail("expected '('")
-        pos += 1
-        if pos >= len(tokens) or tokens[pos][0] in "()":
-            fail("expected label")
-        label = tokens[pos][0]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos][0] != ")":
-            tok = tokens[pos][0]
-            if tok == "(":
-                children.append(node())
+    if "\n" in text:  # a key is one line; others may hold '#' comment lines
+        tokens = [tok for tok, _, _ in _tokenize(text)]
+    else:
+        tokens = _TOKEN.findall(text)
+    if not tokens or tokens[0] != "(":
+        fail("expected '('")
+    last = len(tokens) - 1
+    frontier = []
+    stack = []               # (label, children) of each open node
+    want_label = False
+    for pos, tok in enumerate(tokens):
+        if want_label:
+            if tok == "(" or tok == ")":
+                fail("expected label")
+            stack.append((tok, []))
+            want_label = False
+        elif tok == "(":
+            want_label = True
+        elif tok == ")":
+            label, children = stack.pop()
+            if children:
+                node = Tree(label, children)
             else:
-                children.append(tok)
-                pos += 1
-        if pos >= len(tokens):
-            fail("unbalanced")
-        pos += 1  # ')'
-        if not children:
-            return Site(label)
-        return Tree(label, children)
-
-    root = node()
-    if pos != len(tokens):
-        fail("trailing tokens")
-    if not isinstance(root, Tree):
+                node = Site(label)
+                frontier.append(node)
+            if stack:
+                stack[-1][1].append(node)
+            elif pos != last:
+                fail("trailing tokens")
+        else:
+            stack[-1][1].append(tok)
+            frontier.append(tok)
+    if want_label:
+        fail("expected label")
+    if stack:
+        fail("unbalanced")
+    if not isinstance(node, Tree):
         fail("fragment must have at least one level")
-    return root
+    key = " ".join(tokens).replace("( ", "(").replace(" )", ")")
+    return node, tuple(frontier), key
 
 
 def count_fragments(tree: Tree) -> int:

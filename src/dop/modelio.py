@@ -14,11 +14,15 @@ Layout (all fields tab-separated, fractions as "a/b")::
     count<TAB>probability<TAB>canonical_key
 
 Everything is sorted (roots and priors by label, entries by root then key)
-so equal models serialize to identical bytes. Head rules are not stored:
+so equal models serialize to identical bytes. Keys are read back in
+canonical form: a key written with other spacing (``(S  (NP john)\t(VP))``)
+loads as the fragment whose key is ``(S (NP john) (VP))``, and a bad key
+is reported with its line number. Head rules are not stored:
 they decide which fragments pass the restriction at training time, and a
 loaded model has no use for them.
 """
 
+import gc
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -101,9 +105,12 @@ def model_from_text(text: str) -> FragmentModel:
                 count, probability, key = line.split("\t", 2)
             except ValueError:
                 raise ModelFormatError("line %d: bad entry row" % lineno)
-            fragment = Fragment.from_string(key)
-            entries[fragment.key] = ModelEntry(
-                fragment, _parse_num(count), Fraction(probability))
+            try:
+                fragment = Fragment.from_string(key)
+                entries[fragment.key] = ModelEntry(
+                    fragment, _parse_num(count), Fraction(probability))
+            except ValueError as err:
+                raise ModelFormatError("line %d: %s" % (lineno, err)) from None
             continue
         fields = line.split("\t")
         tag = fields[0]
@@ -152,11 +159,11 @@ def model_from_text(text: str) -> FragmentModel:
 
 
 def _check_totals(model):
-    sums = defaultdict(lambda: Fraction(0))
+    sums = defaultdict(int)      # ints and Fractions add and compare exactly
     for entry in model.entries.values():
-        sums[entry.fragment.root] += Fraction(entry.count)
+        sums[entry.fragment.root] += entry.count
     for root, total in sums.items():
-        if Fraction(model.root_totals.get(root, 0)) != total:
+        if model.root_totals.get(root, 0) != total:
             raise ModelFormatError(
                 "root %s: entry counts sum to %s, header says %s"
                 % (root, total, model.root_totals.get(root)))
@@ -169,4 +176,14 @@ def write_model(model: FragmentModel, path):
 
 def load_model(path) -> FragmentModel:
     with open(path, encoding="utf8") as handle:
-        return model_from_text(handle.read())
+        text = handle.read()
+    # The model's objects form no cycles, so a full collection while they
+    # are built would only scan them again; the caller's collector state
+    # comes back when loading ends or fails.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return model_from_text(text)
+    finally:
+        if enabled:
+            gc.enable()

@@ -6,6 +6,7 @@ plain string and must be the only child of its parent. Fragment structures
 are trees whose frontier may also hold `Site` substitution markers.
 """
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ class Tree:
         children = tuple(children)
         if not children:
             raise ValueError("tree node %r must have at least one child" % label)
-        if any(isinstance(c, str) for c in children) and len(children) != 1:
+        if len(children) != 1 and any(isinstance(c, str) for c in children):
             raise ValueError("terminal word with siblings under %r" % label)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", children)
@@ -137,25 +138,18 @@ class Treebank:
         return len(self.trees)
 
 
+# a bracket, or a run of anything else that is not whitespace; `\s` is
+# exactly the set of characters `str.isspace` accepts
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text):
     """Yield (token, line, col) with 1-based positions; '#' comment lines skipped."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line.lstrip().startswith("#"):
             continue
-        col = 0
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-            elif ch in "()":
-                yield ch, lineno, col + 1
-                col += 1
-            else:
-                start = col
-                while col < n and not line[col].isspace() and line[col] not in "()":
-                    col += 1
-                yield line[start:col], lineno, start + 1
+        for match in _TOKEN.finditer(line):
+            yield match.group(), lineno, match.start() + 1
 
 
 def read_trees(text: str) -> list[Tree]:

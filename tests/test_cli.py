@@ -408,3 +408,54 @@ def test_malformed_treebank_exit_code(tmp_path, capsys):
     code = main(["train", "--train", str(bad), "--model", str(tmp_path / "m")])
     assert code == 2
     assert "never closed" in capsys.readouterr().err
+
+
+def test_collector_paused_only_while_model_and_parser_build(
+        toy_paths, tmp_path, monkeypatch):
+    import dop.modelio
+    _, model_path = toy_paths
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    out = tmp_path / "out.txt"
+    enabled = []
+    read = dop.modelio.model_from_text
+    build = dop.parser.SentenceParser.__init__
+
+    def recording_read(text):
+        enabled.append(("read", gc.isenabled()))
+        return read(text)
+
+    def recording_build(self, *args, **kwargs):
+        enabled.append(("build", gc.isenabled()))
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(dop.modelio, "model_from_text", recording_read)
+    monkeypatch.setattr(dop.parser.SentenceParser, "__init__", recording_build)
+    assert gc.isenabled()
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(out)]) == 0
+    assert enabled == [("read", False), ("build", False)]
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        load_model(model_path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def failing_read(text):
+        raise ValueError("bad model")
+
+    monkeypatch.setattr(dop.modelio, "model_from_text", failing_read)
+    with pytest.raises(ValueError, match="bad model"):
+        load_model(model_path)
+    assert gc.isenabled()
+
+    def failing_build(self, *args, **kwargs):
+        raise ValueError("bad grammar")
+
+    monkeypatch.setattr(dop.parser.SentenceParser, "__init__", failing_build)
+    with pytest.raises(ValueError, match="bad grammar"):
+        _parse_corpus(read(model_path.read_text()), [["john"]], 10, 1e-5, 1)
+    assert gc.isenabled()

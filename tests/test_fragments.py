@@ -306,3 +306,47 @@ def test_dump_fragments_format():
         "1\tNP\t(NP john)",
         "2\tS\t(S (NP) (VP))",
     ]
+
+
+@pytest.mark.parametrize("key", [
+    "(S", "(S (NP john) (VP)))", "(S (NP) (VP)) x", "(NP)", "((NP x))",
+    "(S (NP john mary))", ""])
+def test_malformed_keys_rejected(key):
+    with pytest.raises(ValueError):
+        Fragment.from_string(key)
+
+
+def test_key_spacing_read_to_canonical_form():
+    fragment = Fragment.from_string("(S  (NP john)\t(VP))")
+    assert fragment.key == "(S (NP john) (VP))"
+    assert fragment.frontier == ("john", Site("VP"))
+
+
+def test_read_key_matches_structure_path_on_sampled_model():
+    from conftest import synthetic_treebank
+    from dop import build_model, default_head_rules
+    from dop.cli import collect_fragments
+    bank = synthetic_treebank(40, seed=9)
+    restriction = RestrictionSet(max_depth=4, sample_per_depth=150)
+    fragments, _ = collect_fragments(bank, restriction, seed=2)
+    model = build_model(fragments, restriction, default_head_rules())
+    assert len(model.entries) > 100
+    for key in model.entries:
+        read = Fragment.from_string(key)
+        built = Fragment(read.structure)
+        assert (read.key, read.frontier, read.depth) == (
+            built.key, built.frontier, built.depth) == (
+            key, model.entries[key].fragment.frontier,
+            model.entries[key].fragment.depth)
+        spaced = key.replace("(", "( ").replace(")", " )").replace(" ", " \t ")
+        assert Fragment.from_string(spaced).key == key
+
+
+def test_deep_unary_key_loads():
+    depth = 3000
+    key = "".join("(X%d " % i for i in range(depth)) + "w" + ")" * depth
+    fragment = Fragment.from_string(key)
+    assert fragment.key == key
+    assert fragment.frontier == ("w",)
+    assert fragment.root == "X0"
+    assert Fragment.from_string(key.replace(" ", "\n ")).key == key

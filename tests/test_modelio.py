@@ -66,3 +66,30 @@ def test_rejects_inconsistent_totals(toy_model):
     broken = text.replace("root\tNP\t4\t4\t0", "root\tNP\t4\t5\t0")
     with pytest.raises(ModelFormatError):
         model_from_text(broken)
+
+
+def _corrupt_first_entry(text):
+    lines = text.split("\n")
+    row = lines.index("entries") + 1
+    count, probability, key = lines[row].split("\t")
+    lines[row] = "%s\t%s\t(%s" % (count, probability, key)
+    return "\n".join(lines), row + 1
+
+
+def test_bad_entry_key_names_its_line(toy_model):
+    text, lineno = _corrupt_first_entry(model_to_text(toy_model))
+    with pytest.raises(ModelFormatError) as err:
+        model_from_text(text)
+    assert str(err.value).startswith("line %d: " % lineno)
+    assert "bad fragment key" in str(err.value)
+
+
+def test_parse_reports_bad_entry_line(tmp_path, toy_model, capsys):
+    from dop.cli import main
+    text, lineno = _corrupt_first_entry(model_to_text(toy_model))
+    path = tmp_path / "bad.dopmodel"
+    path.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john sleeps\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    assert "line %d: " % lineno in capsys.readouterr().err

@@ -158,3 +158,23 @@ def test_tree_immutable():
     tree = read_trees("(NP mary)")[0]
     with pytest.raises(AttributeError):
         tree.label = "X"
+
+
+def test_read_error_positions_with_comments_tabs_and_lines():
+    body = "# header\n(S\n\t(NP john)\n  # note\n\t(VP (V x)%s\n"
+    with pytest.raises(TreeReadError) as err:
+        read_trees(body % ")")
+    assert (err.value.line, err.value.col) == (2, 1)
+    with pytest.raises(TreeReadError) as err:
+        read_trees(body % "))  )")
+    assert (err.value.line, err.value.col) == (5, 15)
+    with pytest.raises(TreeReadError) as err:
+        read_trees(body % " (\t) ))")
+    assert (err.value.line, err.value.col) == (5, 12)
+    assert write_tree(read_trees(body % "))")[0]) == "(S (NP john) (VP (V x)))"
+
+
+def test_token_whitespace_is_str_isspace():
+    from dop.tree import _TOKEN
+    chars = "".join(map(chr, range(0x110000)))
+    assert set(_TOKEN.sub("", chars)) == set(filter(str.isspace, chars))
