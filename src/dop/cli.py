@@ -20,7 +20,8 @@ from .fragments import (FragmentOverflowError, RestrictionSet, SamplingError,
 from .heads import HeadRuleTable, default_head_rules
 from .model import (GrammarError, build_model, good_turing_adjust,
                     train_unknown_model)
-from .modelio import ModelFormatError, load_model, write_model
+from .modelio import (ModelFormatError, collector_paused, load_model,
+                      write_model)
 from .oracle import OracleOverflowError, enumerate_derivations, report_lines
 from .parser import CyclicGrammarError, SentenceParser
 from .parseval import format_report, report_rows, score_corpus
@@ -315,20 +316,15 @@ _WORKER_STATE = {}
 
 def _worker_init(model, n_best, prune_ratio):
     # The parser's indexes form no cycles: the collector stays off while
-    # they are built, as in load_model, and then back as the caller had it.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # they are built, as in load_model. The model and the indexes outlive
+    # every sentence. Frozen, they are left out of the cycle collector's
+    # collections, which would otherwise re-scan them every few sentences
+    # (a pause that grows with the model and lands on whichever sentence
+    # is parsing).
+    with collector_paused():
         _WORKER_STATE["parser"] = SentenceParser(model, n_best=n_best,
                                                  prune_ratio=prune_ratio)
-    finally:
-        if enabled:
-            gc.enable()
-    # The model and the parser's indexes outlive every sentence. Frozen,
-    # they are left out of the cycle collector's full collections, which
-    # would otherwise re-scan them every few sentences (a pause that grows
-    # with the model and lands on whichever sentence is parsing).
-    gc.freeze()
+        gc.freeze()
 
 
 def _worker_parse(job):
@@ -368,11 +364,18 @@ def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
 
 def cmd_parse(args) -> int:
     options = _Options(args)
-    model = load_model(args.model)
-    sentences = _read_sentences(args.input)
-    rows = _parse_corpus(model, sentences, options.integer("n_best"),
-                         options.floating("prune_ratio"),
-                         options.integer("workers"))
+    # Frozen before the collector comes back, the model is never scanned:
+    # the first young collection after the load would scan all of it once.
+    with collector_paused():
+        model = load_model(args.model)
+        gc.freeze()
+    try:
+        sentences = _read_sentences(args.input)
+        rows = _parse_corpus(model, sentences, options.integer("n_best"),
+                             options.floating("prune_ratio"),
+                             options.integer("workers"))
+    finally:
+        gc.unfreeze()
     out = _open_out(args.output)
     try:
         for bracketed, _, _, _ in rows:

@@ -24,6 +24,7 @@ loaded model has no use for them.
 
 import gc
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .fragments import Fragment, RestrictionSet
@@ -174,16 +175,22 @@ def write_model(model: FragmentModel, path):
         handle.write(model_to_text(model))
 
 
+@contextmanager
+def collector_paused():
+    """The cycle collector off inside; after, back as the caller had it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_model(path) -> FragmentModel:
     with open(path, encoding="utf8") as handle:
         text = handle.read()
     # The model's objects form no cycles, so a full collection while they
-    # are built would only scan them again; the caller's collector state
-    # comes back when loading ends or fails.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # are built would only scan them again.
+    with collector_paused():
         return model_from_text(text)
-    finally:
-        if enabled:
-            gc.enable()

@@ -51,6 +51,25 @@ class IndexedRule:
         return tuple(_SITE_TEXT.split(self.fragment.key))
 
 
+# every finite float is an integer multiple of 2**-1074
+_SCALE = 1 << 1074
+
+
+def _scaled(x: float) -> int:
+    """x times 2**1074 as an int, with no rounding.
+
+    Summing scaled values is exact, and _unscaled rounds the sum once, so
+    the result equals math.fsum of the floats (for a zero sum, +0.0).
+    """
+    numerator, denominator = x.as_integer_ratio()    # a power of two
+    return numerator << (1075 - denominator.bit_length())
+
+
+def _unscaled(total: int) -> float:
+    # int true division is correctly rounded
+    return total / _SCALE
+
+
 def _log(probability) -> float:
     p = Fraction(probability)
     return math.log(p.numerator) - math.log(p.denominator)
@@ -79,7 +98,9 @@ class _Grammar:
 
     def __init__(self, rules):
         self.first_step = {}          # symbol -> trie node
-        self.steps = {}               # (trie node, symbol) -> trie node
+        # symbol -> {trie node: next trie node}: the steps that read the
+        # symbol after the first rhs position
+        self.steps_on = {}
         self.completions = defaultdict(list)   # trie node -> [(lhs, rule)]
         unary_edges = defaultdict(set)
         counter = 0
@@ -93,9 +114,10 @@ class _Grammar:
                         node = self.first_step[sym] = counter
                         counter += 1
                 else:
-                    node = self.steps.get((prev, sym))
+                    steps = self.steps_on.setdefault(sym, {})
+                    node = steps.get(prev)
                     if node is None:
-                        node = self.steps[(prev, sym)] = counter
+                        node = steps[prev] = counter
                         counter += 1
                 prev = node
             self.completions[node].append((rule.lhs, rule))
@@ -139,8 +161,11 @@ class ChartItem:
     """A (symbol, span) vertex of the parse forest.
 
     inside is the best (Viterbi) log inside probability; edges are
-    (rule-or-None, tails, log weight) triples. The derivation list and
-    candidate heap are filled lazily during n-best extraction.
+    (rule-or-None, tails, log weight) triples. Binary steps and prefix
+    completions, which never repeat an edge, append theirs directly;
+    add_edge, which drops an edge the item already has, is for the unary
+    closure. The derivation list and candidate heap are filled
+    lazily during n-best extraction.
     """
 
     __slots__ = ("sym", "span", "inside", "edges", "_edge_ids",
@@ -151,14 +176,16 @@ class ChartItem:
         self.span = span
         self.inside = -math.inf
         self.edges = []
-        self._edge_ids = set()
+        self._edge_ids = None
         self.derivs = None
         self.cand = None
         self.pending = None
 
     def add_edge(self, rule, tails, weight):
         edge_id = (rule.index if rule else -1, tuple(id(t) for t in tails))
-        if edge_id in self._edge_ids:
+        if self._edge_ids is None:
+            self._edge_ids = set()
+        elif edge_id in self._edge_ids:
             return False
         self._edge_ids.add(edge_id)
         self.edges.append((rule, tuple(tails), weight))
@@ -223,6 +250,11 @@ class ChartParser:
 
         n = len(sentence)
         cells = {}
+        # per span, once its cell is pruned: the items that can start a
+        # binary step, with their trie nodes, and the complete items that
+        # can end one (see _partners)
+        heads = {}
+        tails = {}
         for width in range(1, n + 1):
             for start in range(0, n - width + 1):
                 span = (start, start + width)
@@ -233,10 +265,11 @@ class ChartParser:
                     word_item.inside = 0.0
                     cell[word_item.sym] = word_item
                 else:
-                    self._binary_phase(cells, span, cell)
+                    self._binary_phase(heads, tails, span, cell)
                 self._complete_prefixes(cell, span)
                 self._unary_closure(cell, span, extra_lexical)
                 self._prune(cell)
+                heads[span], tails[span] = self._partners(cell)
 
         start_items = []
         if n:
@@ -249,34 +282,67 @@ class ChartParser:
         return Chart(sentence, cells, start_items,
                      unary_cycle=self.grammar.unary_cycle)
 
-    def _binary_phase(self, cells, span, cell):
-        start, end = span
-        steps = self.grammar.steps
+    def _partners(self, cell):
+        """(heads, tails) of a finished cell, both in cell order.
+
+        heads are (item, trie node) for items with a trie node; tails are
+        (steps, item) for complete items whose symbol some step reads,
+        steps being that symbol's {trie node: next trie node}.
+        """
         first = self.grammar.first_step
+        steps_on = self.grammar.steps_on
+        heads = []
+        tails = []
+        for sym, item in cell.items():
+            if sym[0] == "p":
+                heads.append((item, sym[1]))
+                continue
+            node = first.get(sym)
+            if node is not None:
+                heads.append((item, node))
+            steps = steps_on.get(sym)
+            if steps is not None:
+                tails.append((steps, item))
+        return heads, tails
+
+    def _binary_phase(self, heads, tails, span, cell):
+        start, end = span
         for mid in range(start + 1, end):
-            for litem in cells[(start, mid)].values():
-                node = litem.sym[1] if litem.sym[0] == "p" else first.get(litem.sym)
-                if node is None:
-                    continue
-                for ritem in cells[(mid, end)].values():
-                    if ritem.sym[0] == "p":
-                        continue
-                    nxt = steps.get((node, ritem.sym))
+            right = tails[(mid, end)]
+            if not right:
+                continue
+            for litem, node in heads[(start, mid)]:
+                for steps, ritem in right:
+                    nxt = steps.get(node)
                     if nxt is None:
                         continue
                     psym = ("p", nxt)
                     item = cell.get(psym)
                     if item is None:
                         item = cell[psym] = ChartItem(psym, span)
-                    item.add_edge(None, (litem, ritem), 0.0)
+                    # each (left, right) pair reaches a prefix item once
+                    item.edges.append((None, (litem, ritem), 0.0))
+                    score = litem.inside + ritem.inside
+                    if score > item.inside:
+                        item.inside = score
 
     def _complete_prefixes(self, cell, span):
-        # rules whose full rhs was matched as a length >= 2 prefix chain
+        # rules whose full rhs was matched as a length >= 2 prefix chain;
+        # a rule ends at one trie node, so each (rule, prefix item) edge
+        # comes up once
+        completions = self.grammar.completions
         for psym, pitem in list(cell.items()):
             if psym[0] != "p":
                 continue
-            for lhs, rule in self.grammar.completions.get(psym[1], ()):
-                self._add_completion(cell, span, lhs, rule, pitem)
+            for lhs, rule in completions.get(psym[1], ()):
+                sym = ("n", lhs)
+                item = cell.get(sym)
+                if item is None:
+                    item = cell[sym] = ChartItem(sym, span)
+                item.edges.append((rule, (pitem,), rule.logprob))
+                score = rule.logprob + pitem.inside
+                if score > item.inside:
+                    item.inside = score
 
     def _unary_closure(self, cell, span, extra_lexical):
         # fixpoint over single-symbol completions (lexical rules, unary
@@ -313,11 +379,35 @@ class ChartParser:
                 del cell[sym]
 
 
-@dataclass(frozen=True)
 class Derivation:
-    fragments: tuple          # leftmost-substitution order
-    logprob: float            # sum of fragment log probabilities
-    bracketed: str            # write_tree form of the derived tree
+    """One derivation of a sentence.
+
+    logprob is the correctly rounded sum of the fragments' log
+    probabilities; bracketed is the write_tree form of the derived tree.
+    realized is a nested (fragment, subs, ...) tuple, subs holding the
+    realizations of the fragment's sites left to right; fragments, in
+    leftmost-substitution order, is flattened from it on first access.
+    """
+
+    __slots__ = ("logprob", "bracketed", "_realized", "_fragments")
+
+    def __init__(self, logprob, bracketed, realized):
+        self.logprob = logprob
+        self.bracketed = bracketed
+        self._realized = realized
+        self._fragments = None
+
+    @property
+    def fragments(self) -> tuple:
+        if self._fragments is None:
+            fragments = []
+            stack = [self._realized]
+            while stack:
+                realized = stack.pop()
+                fragments.append(realized[0])
+                stack.extend(reversed(realized[1]))
+            self._fragments = tuple(fragments)
+        return self._fragments
 
     @property
     def tree(self) -> Tree:
@@ -377,9 +467,13 @@ def _get_kth(item, k):
 def _push_candidate(item, edge_idx, jvec):
     _, tails, score = item.edges[edge_idx]
     for tail, j in zip(tails, jvec):
-        sub = _get_kth(tail, j)
-        if sub is None:
-            return
+        derivs = tail.derivs
+        if derivs is not None and j < len(derivs):
+            sub = derivs[j]
+        else:
+            sub = _get_kth(tail, j)
+            if sub is None:
+                return
         score += sub[0]
     heapq.heappush(item.cand, (-score, edge_idx, jvec))
 
@@ -407,26 +501,32 @@ def _sites(item, k):
 
 
 def _realize(item, k, memo):
-    """(bracketed string, rule sequence) for the k-th derivation of an 'n' item.
+    """The k-th derivation of an 'n' item as (fragment, subs, string, sum).
 
-    Memoized per (item, k), so a subderivation shared by many derivations
-    is realized once. The string joins the rule's fragment template with
-    the subderivations' strings, one per substitution site. Rules come out
-    in leftmost-substitution order: the item's own rule, then each
-    substitution site's subderivation left to right.
+    subs are the realizations of the substitution sites, left to right;
+    the string joins the rule's fragment template with theirs; sum is the
+    derivation's log probability scaled by 2**1074, an exact int (see
+    _scaled). Memoized per (item, k), so a subderivation shared by many
+    derivations is realized once; callers look in memo first.
     """
-    got = memo.get((id(item), k))
-    if got is not None:
-        return got
     rule = item.edges[item.derivs[k][1]][0]
     template = rule.template
-    pieces = [None] * (2 * len(template) - 1)
-    pieces[::2] = template
-    rules = [rule]
-    for i, (site_item, site_k) in enumerate(_sites(item, k)):
-        pieces[2 * i + 1], sub_rules = _realize(site_item, site_k, memo)
-        rules.extend(sub_rules)
-    result = ("".join(pieces), tuple(rules))
+    total = _scaled(rule.logprob)
+    subs = []
+    for site_item, site_k in _sites(item, k):
+        sub = memo.get((id(site_item), site_k))
+        if sub is None:
+            sub = _realize(site_item, site_k, memo)
+        total += sub[3]
+        subs.append(sub)
+    if subs:
+        pieces = [None] * (2 * len(template) - 1)
+        pieces[::2] = template
+        pieces[1::2] = [sub[2] for sub in subs]
+        bracketed = "".join(pieces)
+    else:
+        bracketed = template[0]
+    result = (rule.fragment, subs, bracketed, total)
     memo[(id(item), k)] = result
     return result
 
@@ -434,19 +534,26 @@ def _realize(item, k, memo):
 def _substitute_all(fragments):
     """Tree of a complete derivation: each fragment fills the leftmost site."""
     rest = iter(fragments)
-
-    def build(node):
-        children = []
-        for child in node.children:
+    root = next(rest).structure
+    # one frame per open node: its label, the children built so far and
+    # the node's own children still to visit
+    stack = [(root.label, [], iter(root.children))]
+    while True:
+        label, children, todo = stack[-1]
+        for child in todo:
             if isinstance(child, Site):
-                children.append(build(next(rest).structure))
-            elif isinstance(child, Tree):
-                children.append(build(child))
-            else:
+                child = next(rest).structure
+            elif not isinstance(child, Tree):
                 children.append(child)
-        return Tree(node.label, children)
-
-    return build(next(rest).structure)
+                continue
+            stack.append((child.label, [], iter(child.children)))
+            break
+        else:
+            stack.pop()
+            tree = Tree(label, children)
+            if not stack:
+                return tree
+            stack[-1][1].append(tree)
 
 
 def nbest_derivations(chart: Chart, n: int = 1000) -> list:
@@ -454,8 +561,9 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
 
     The first derivation is the exact Viterbi best over the unpruned part
     of the forest. Each derivation carries its tree as a bracketed string;
-    no Tree is built here. Probabilities are recomputed from the fragments,
-    then checked against the extraction scores.
+    no Tree is built here. Probabilities are recomputed from the fragments
+    as exact sums, rounded once, then checked against the extraction
+    scores.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -476,14 +584,13 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
             break
         score, edge_idx, jvec = deriv
         _, tails, _ = goal.edges[edge_idx]
-        bracketed, rules = _realize(tails[0], jvec[0], memo)
-        logprob = math.fsum(rule.logprob for rule in rules)
+        # a new (start item, k) each time, so not in memo yet
+        realized = _realize(tails[0], jvec[0], memo)
+        logprob = _unscaled(realized[3])
         if not math.isclose(logprob, score, rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(
                 "derivation probability drift: %r vs %r" % (logprob, score))
-        result.append(Derivation(
-            fragments=tuple(rule.fragment for rule in rules),
-            logprob=logprob, bracketed=bracketed))
+        result.append(Derivation(logprob, realized[2], realized))
     return result
 
 

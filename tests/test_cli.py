@@ -459,3 +459,46 @@ def test_collector_paused_only_while_model_and_parser_build(
     with pytest.raises(ValueError, match="bad grammar"):
         _parse_corpus(read(model_path.read_text()), [["john"]], 10, 1e-5, 1)
     assert gc.isenabled()
+
+
+def test_no_collection_between_model_load_and_freeze(tmp_path, monkeypatch):
+    import dop.cli
+    train = tmp_path / "train.mrg"
+    train.write_text(write_treebank(synthetic_treebank(40, seed=5)))
+    model_path = tmp_path / "m.dopmodel"
+    assert main(["train", "--train", str(train), "--model", str(model_path),
+                 "--max-depth", "3", "--sample-per-depth", "100",
+                 "--seed", "1"]) == 0
+    sents = tmp_path / "sents.txt"
+    sents.write_text("".join(" ".join(tree.leaves()) + "\n" for tree in
+                             synthetic_treebank(3, seed=6).trees))
+    events = []
+    load, freeze = dop.cli.load_model, gc.freeze
+
+    def recording_load(path):
+        model = load(path)
+        events.append("loaded")
+        return model
+
+    def recording_freeze():
+        events.append("frozen")
+        freeze()
+
+    def on_collection(phase, info):
+        if phase == "start":
+            events.append("collection")
+
+    monkeypatch.setattr(dop.cli, "load_model", recording_load)
+    monkeypatch.setattr(gc, "freeze", recording_freeze)
+    gc.callbacks.append(on_collection)
+    try:
+        assert main(["parse", "--model", str(model_path), "--input",
+                     str(sents), "--output", str(tmp_path / "out.txt")]) == 0
+    finally:
+        gc.callbacks.remove(on_collection)
+    # the model is big enough that a collection after the load would scan
+    # it; none may start before it is frozen
+    assert len(load(model_path).entries) > 100
+    loaded = events.index("loaded")
+    assert events[loaded + 1] == "frozen"
+    assert gc.get_freeze_count() == 0

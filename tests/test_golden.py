@@ -3,13 +3,17 @@
 The hashes were recorded before refactors that must not change output:
 the parse hashes before the derivation layer stopped building a tree per
 derivation, the model and experiment hashes before the duplicate
-fragment-collection, bracket-writing and parse-entry paths were removed.
-Any change to model bytes, parse choices or probabilities shows up here.
+fragment-collection, bracket-writing and parse-entry paths were removed,
+the chart hash before the binary step stopped visiting dotted right items.
+Any change to model bytes, parse choices, probabilities or chart contents
+shows up here.
 """
 
 import hashlib
 
 from dop.cli import main
+from dop.modelio import load_model
+from dop.parser import SentenceParser
 from dop.tree import write_treebank
 from conftest import synthetic_treebank
 
@@ -17,6 +21,8 @@ PARSE_SHA256 = (
     "5fcfbad8067b62356ddef2d9c2ccfb2e7fe91510252e83216b70d52c2c5aae84")
 STATS_SHA256 = (
     "c1a922962df745cceb210298423dad18a96b3a63fe961dc7bca83963c33e0c0c")
+CHART_SHA256 = (
+    "2c50f05e2a9d07dcfc5d5c1716cf2cc0d60d77a164871ba83f6020401ffdba64")
 SAMPLED_MODEL_SHA256 = (
     "5d45c83db43bc9f4bfbc95d10169d0c18fdf712728754b3429c7d57226d8ef34")
 EXHAUSTIVE_MODEL_SHA256 = (
@@ -43,7 +49,7 @@ def _write_bank(path, n_trees, seed, max_words=9):
     return path
 
 
-def test_golden_parse_output(tmp_path, capsys):
+def _golden_model_and_sentences(tmp_path):
     train = _write_bank(tmp_path / "train.mrg", 80, seed=5)
     model = tmp_path / "m.dopmodel"
     assert main(["train", "--train", str(train), "--model", str(model),
@@ -52,6 +58,11 @@ def test_golden_parse_output(tmp_path, capsys):
     sents = tmp_path / "sents.txt"
     sents.write_text("".join(" ".join(tree.leaves()) + "\n" for tree in
                              synthetic_treebank(30, seed=17).trees))
+    return model, sents
+
+
+def test_golden_parse_output(tmp_path, capsys):
+    model, sents = _golden_model_and_sentences(tmp_path)
     out = tmp_path / "out.txt"
     stats = tmp_path / "stats.tsv"
     assert main(["parse", "--model", str(model), "--input", str(sents),
@@ -63,6 +74,23 @@ def test_golden_parse_output(tmp_path, capsys):
     assert _sha256(model.read_text()) == SAMPLED_MODEL_SHA256
     assert _sha256(out.read_text()) == PARSE_SHA256
     assert _sha256(columns) == STATS_SHA256
+
+
+def test_golden_chart(tmp_path, capsys):
+    # every cell's items in order, with their edges and Viterbi inside scores
+    model, sents = _golden_model_and_sentences(tmp_path)
+    parser = SentenceParser(load_model(model))
+    lines = []
+    for words in (line.split() for line in sents.read_text().splitlines()):
+        chart = parser.parser.chart(words, extra_rules=parser.oov_rules(words))
+        for span, cell in chart.cells.items():
+            lines.append("%r" % (span,))
+            for sym, item in cell.items():
+                edges = [(rule.index if rule else -1,
+                          [(tail.sym, tail.span) for tail in tails])
+                         for rule, tails, _ in item.edges]
+                lines.append("%r %r %r" % (sym, item.inside, edges))
+    assert _sha256("\n".join(lines)) == CHART_SHA256
 
 
 def test_golden_exhaustive_smoothed_model(tmp_path, capsys):

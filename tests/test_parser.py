@@ -11,7 +11,8 @@ from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
                  extract_treebank, most_probable_parse, nbest_derivations,
                  read_treebank, read_trees, to_rules, train_unknown_model,
                  write_tree)
-from dop.parser import Derivation
+from dop.modelio import model_from_text
+from dop.parser import Derivation, _scaled, _unscaled
 from dop.tree import Treebank
 from conftest import TOY_HEAD_RULES, random_tree
 
@@ -199,6 +200,27 @@ def test_unary_chains_parse():
     assert len(derivations) == len(report.derivations) > 0
 
 
+def test_deep_unary_chain_parses():
+    # one fragment, a 3000-level unary chain: building its tree must not
+    # recurse once per level
+    depth = 3000
+    key = "".join("(X%d " % i for i in range(depth)) + "w" + ")" * depth
+    model = model_from_text(
+        "dopmodel\t1\n"
+        "restriction\tmax_depth=-\tmax_frontier_words=-\tmax_unlex_depth=-"
+        "\tmax_nonheadwords=-\tsample_per_depth=-\n"
+        "smoothing\toff\nstart\tX0\nprior\tX0\t1\nroot\tX0\t1\t1\t0\n"
+        "entries\n1\t1\t%s\n" % key)
+    result = SentenceParser(model).parse(["w"])
+    assert result.probability == 1.0
+    assert result.tree_tallies == ((key, 1, 1.0),)
+    node, labels = result.tree, []
+    while isinstance(node, Tree):
+        labels.append(node.label)
+        (node,) = node.children
+    assert labels == ["X%d" % i for i in range(depth)] and node == "w"
+
+
 def test_unary_cycle_raises():
     fragments = Counter({frag("(A (B))"): 1, frag("(B (A))"): 1,
                          frag("(A w)"): 1, frag("(B v)"): 1})
@@ -210,12 +232,36 @@ def test_unary_cycle_raises():
         nbest_derivations(chart, 10)
 
 
+# ------------------------------------------------------ exact sums
+
+def test_exact_sum_matches_fsum_on_extreme_floats():
+    rng = random.Random(5)
+    tiny = 5e-324                       # the smallest subnormal
+    smallest_normal = 2.2250738585072014e-308
+    cases = [
+        [tiny], [tiny, tiny, tiny], [smallest_normal, -tiny],
+        [smallest_normal / 3, smallest_normal / 7, -tiny],
+        [1e-320, -1e-321, 3e-322], [tiny, -tiny], [1e-300, -1e-300, 1e-310],
+        [1e308, 1.0, -1e308], [1.7e308, -1.7e308, tiny],
+        [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106],   # tie, and above
+        [3.0, 2.0 ** -52, -(2.0 ** -105)],
+        [0.1] * 10, [-0.1] * 1000, [-1e-5] * 100000,
+        [-rng.uniform(0, 50) for _ in range(5000)],
+        [math.ldexp(rng.choice((-1, 1)) * rng.random(),
+                    rng.randint(-1074, 1000)) for _ in range(5000)],
+        [math.ldexp(-rng.random(), rng.randint(-1074, -1000))
+         for _ in range(5000)],
+    ]
+    for values in cases:
+        exact = _unscaled(sum(map(_scaled, values)))
+        assert exact.hex() == math.fsum(values).hex(), values[:3]
+
+
 # ------------------------------------------------------ most probable parse
 
 def _dummy_derivation(logprob, bracketed):
     tree = read_trees(bracketed)[0]
-    return Derivation(fragments=(Fragment(tree),), logprob=logprob,
-                      bracketed=bracketed)
+    return Derivation(logprob, bracketed, (Fragment(tree), ()))
 
 
 def test_mpp_sums_per_tree():
@@ -315,6 +361,11 @@ def _oracle_differential(model, words):
     parser = SentenceParser(model, n_best=len(report.derivations) + 1,
                             prune_ratio=1e-300)
     derivations = parser.derivations(words)
+    # each logprob is the correctly rounded sum of its rules' logprobs
+    rule_logprob = {rule.fragment.key: rule.logprob for rule in parser.rules}
+    for derivation in derivations:
+        exact = math.fsum(rule_logprob[f.key] for f in derivation.fragments)
+        assert derivation.logprob.hex() == exact.hex()
     # fragments -> logprob, against the oracle's exact probabilities
     got = {d.fragments: d.logprob for d in derivations}
     expected = {d.fragments: d.probability for d in report.derivations}
