@@ -25,8 +25,10 @@ from .modelio import (ModelFormatError, collector_paused, load_model,
 from .oracle import OracleOverflowError, enumerate_derivations, report_lines
 from .parser import CyclicGrammarError, SentenceParser
 from .parseval import format_report, report_rows, score_corpus
+# write_tree is not called here: a parse is written as the string the
+# parser built. perfbench/run.py wraps cli.write_tree, so the name stays.
 from .tree import (TreeReadError, read_treebank, read_trees,
-                   normalize_treebank, write_tree)
+                   normalize_treebank, write_tree)  # noqa: F401
 
 NO_PARSE_LINE = "NOPARSE"
 
@@ -327,39 +329,31 @@ def _worker_init(model, n_best, prune_ratio):
         gc.freeze()
 
 
-def _worker_parse(job):
-    index, words = job
+def _worker_parse(words):
     parser = _WORKER_STATE["parser"]
     started = time.perf_counter()
-    if words:
-        result = parser.parse(words)
-    else:
-        result = None
+    result = parser.parse(words) if words else None
     seconds = time.perf_counter() - started
     if result is None:
-        return index, None, 0.0, 0, seconds
-    return (index, write_tree(result.tree), result.probability,
+        return None, 0.0, 0, seconds
+    return (result.bracketed, result.probability,
             result.derivations_examined, seconds)
 
 
 def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
     """[(bracketed-or-None, probability, derivations, seconds)] in order."""
-    jobs = list(enumerate(sentences))
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(sentences) > 1:
         with multiprocessing.Pool(workers, initializer=_worker_init,
                                   initargs=(model, n_best, prune_ratio)) as pool:
-            rows = pool.map(_worker_parse, jobs)
-    else:
-        _worker_init(model, n_best, prune_ratio)
-        try:
-            rows = [_worker_parse(job) for job in jobs]
-        finally:
-            # in-process callers get the collector back, and the model can
-            # go as soon as they drop it
-            gc.unfreeze()
-            del _WORKER_STATE["parser"]
-    rows.sort(key=lambda r: r[0])
-    return [row[1:] for row in rows]
+            return pool.map(_worker_parse, sentences)
+    _worker_init(model, n_best, prune_ratio)
+    try:
+        return [_worker_parse(words) for words in sentences]
+    finally:
+        # in-process callers get the collector back, and the model can go
+        # as soon as they drop it
+        gc.unfreeze()
+        del _WORKER_STATE["parser"]
 
 
 def cmd_parse(args) -> int:

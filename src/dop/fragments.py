@@ -243,15 +243,16 @@ def extract_treebank(treebank: Treebank, cap: int = 10**6) -> Counter:
     return result
 
 
-def sample_fragments(treebank: Treebank, depth: int, count: int, seed: int,
-                     max_restarts: int = 10**5) -> Counter:
+def sample_fragments(treebank: Treebank, depth: int, count: int,
+                     seed: int) -> Counter:
     """Draw `count` fragments of exactly `depth` by random growth.
 
     Each draw picks a tree, then a node, uniformly; the fragment grows by
     expanding uniformly chosen frontier sites until it reaches the target
     depth, after which each remaining site shallower than the target is
     expanded on an independent fair coin flip. Draws from nodes that cannot
-    reach the target depth restart. Deterministic given the seed.
+    reach the target depth restart; when no node reaches it, SamplingError
+    is raised before any draw. Deterministic given the seed.
     """
     if depth < 2:
         raise ValueError("sampling is for depth >= 2; depth-1 fragments "
@@ -263,20 +264,16 @@ def sample_fragments(treebank: Treebank, depth: int, count: int, seed: int,
     rng = random.Random(seed)
     node_lists = [list(t.subtrees()) for t in treebank.trees]
     depths = [{id(n): n.depth() for n in nodes} for nodes in node_lists]
+    if max(max(tree_depths.values()) for tree_depths in depths) < depth:
+        raise SamplingError("no node in the treebank reaches depth %d" % depth)
 
     result = Counter()
     produced = 0
-    restarts = 0
     while produced < count:
         ti = rng.randrange(len(node_lists))
         nodes = node_lists[ti]
         node = nodes[rng.randrange(len(nodes))]
         if depths[ti][id(node)] < depth:
-            restarts += 1
-            if restarts > max_restarts:
-                raise SamplingError(
-                    "no sampled node reached depth %d after %d restarts"
-                    % (depth, max_restarts))
             continue
         result[_grow(node, depth, rng)] += 1
         produced += 1

@@ -7,8 +7,8 @@ rules into binary steps; the dotted prefix items this creates are internal
 to the parser. The inside pass is a bottom-up CKY with per-span pruning on
 prior-weighted scores; derivations come out of the pruned forest through
 lazy n-best extraction as bracketed strings, and the most probable parse
-sums derivation probabilities per string, building a Tree only for the
-winner.
+sums derivation probabilities per string. A parse is that string; a Tree
+is read from it only when asked for.
 """
 
 import heapq
@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .fragments import Fragment
 from .model import FragmentModel
-from .tree import Site, Tree
+from .tree import Site, Tree, read_trees
 
 
 class CyclicGrammarError(ValueError):
@@ -383,7 +383,8 @@ class Derivation:
     """One derivation of a sentence.
 
     logprob is the correctly rounded sum of the fragments' log
-    probabilities; bracketed is the write_tree form of the derived tree.
+    probabilities; bracketed is the write_tree form of the derived tree,
+    which tree reads back on each access.
     realized is a nested (fragment, subs, ...) tuple, subs holding the
     realizations of the fragment's sites left to right; fragments, in
     leftmost-substitution order, is flattened from it on first access.
@@ -411,16 +412,25 @@ class Derivation:
 
     @property
     def tree(self) -> Tree:
-        """The derived tree, built from the fragments on each access."""
-        return _substitute_all(self.fragments)
+        """The derived tree, read from bracketed on each access."""
+        return read_trees(self.bracketed)[0]
 
 
 @dataclass(frozen=True)
 class ParseResult:
-    tree: Tree
     probability: float        # summed probability of the tree's derivations
     derivations_examined: int
     tree_tallies: tuple       # (bracketed tree, derivation count, probability)
+
+    @property
+    def bracketed(self) -> str:
+        """The most probable parse: the first tally's bracketed tree."""
+        return self.tree_tallies[0][0]
+
+    @property
+    def tree(self) -> Tree:
+        """The most probable parse, read from bracketed on each access."""
+        return read_trees(self.bracketed)[0]
 
 
 def _get_kth(item, k):
@@ -531,31 +541,6 @@ def _realize(item, k, memo):
     return result
 
 
-def _substitute_all(fragments):
-    """Tree of a complete derivation: each fragment fills the leftmost site."""
-    rest = iter(fragments)
-    root = next(rest).structure
-    # one frame per open node: its label, the children built so far and
-    # the node's own children still to visit
-    stack = [(root.label, [], iter(root.children))]
-    while True:
-        label, children, todo = stack[-1]
-        for child in todo:
-            if isinstance(child, Site):
-                child = next(rest).structure
-            elif not isinstance(child, Tree):
-                children.append(child)
-                continue
-            stack.append((child.label, [], iter(child.children)))
-            break
-        else:
-            stack.pop()
-            tree = Tree(label, children)
-            if not stack:
-                return tree
-            stack[-1][1].append(tree)
-
-
 def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     """Up to n distinct derivations, best first; [] when there is no parse.
 
@@ -598,29 +583,22 @@ def most_probable_parse(derivations) -> ParseResult:
     """Group derivations by bracketed tree and pick the best summed tree.
 
     Ties break on the best single derivation, then on the lexicographically
-    smaller bracketed form. Only the winner's Tree is built.
+    smaller bracketed form. No Tree is built: the result's tree is read
+    from its bracketed form on access.
     """
     if not derivations:
         raise ValueError("most_probable_parse needs at least one derivation")
     groups = {}
     for deriv in derivations:
-        groups.setdefault(deriv.bracketed, []).append(deriv)
-
-    tallies = []
-    for bracketed, group in groups.items():
-        logs = [d.logprob for d in group]
-        best_single = max(logs)
-        total_log = _logsumexp(logs)
-        tallies.append((total_log, best_single, bracketed, group))
-    tallies.sort(key=lambda t: (-t[0], -t[1], t[2]))
-
-    total_log, _, bracketed, group = tallies[0]
+        groups.setdefault(deriv.bracketed, []).append(deriv.logprob)
+    tallies = sorted(((_logsumexp(logs), max(logs), bracketed, len(logs))
+                      for bracketed, logs in groups.items()),
+                     key=lambda t: (-t[0], -t[1], t[2]))
     return ParseResult(
-        tree=group[0].tree,
-        probability=math.exp(total_log),
+        probability=math.exp(tallies[0][0]),
         derivations_examined=len(derivations),
-        tree_tallies=tuple((brk, len(grp), math.exp(tlog))
-                           for tlog, _, brk, grp in tallies))
+        tree_tallies=tuple((brk, count, math.exp(tlog))
+                           for tlog, _, brk, count in tallies))
 
 
 def _logsumexp(logs):

@@ -118,3 +118,14 @@ def synthetic_treebank(n_trees, seed, max_words=9):
     from dop.tree import Treebank
     return Treebank(tuple(synthetic_tree(rng, max_words=max_words)
                           for _ in range(n_trees)))
+
+
+def unary_chain_model(depth):
+    """(key, model text) of a one-entry model: a depth-level chain over w."""
+    key = "".join("(X%d " % i for i in range(depth)) + "w" + ")" * depth
+    return key, (
+        "dopmodel\t1\n"
+        "restriction\tmax_depth=-\tmax_frontier_words=-\tmax_unlex_depth=-"
+        "\tmax_nonheadwords=-\tsample_per_depth=-\n"
+        "smoothing\toff\nstart\tX0\nprior\tX0\t1\nroot\tX0\t1\t1\t0\n"
+        "entries\n1\t1\t%s\n" % key)

@@ -3,7 +3,8 @@
 `perfbench/run.py` wraps `dop.cli` and `dop.parser` attributes for its
 traced run and imports names from `dop` for its oracle check. Its own
 smoke test is not part of this suite, so these tests read the names out
-of the script and check that each still resolves.
+of the script and check that each still resolves, and check on one toy
+parse the fields that the traced run's callbacks and the oracle check read.
 """
 
 import ast
@@ -50,3 +51,18 @@ def test_oracle_check_imports_exist():
              for alias in node.names]
     assert names
     assert [name for name in names if not hasattr(dop, name)] == []
+
+
+def test_traced_benchmark_reads_existing_fields(toy_model):
+    # what trace_commands' callbacks and oracle_check read off a parse
+    parser = dop.parser.SentenceParser(toy_model)
+    words = "john likes mary".split()
+    assert set(words) <= parser.vocabulary
+    chart = parser.parser.chart(words)
+    assert sum(len(cell) for cell in chart.cells.values()) > 0
+    assert sum(len(item.edges) for cell in chart.cells.values()
+               for item in cell.values()) > 0
+    assert chart.start_items
+    result = parser.parse(words)
+    assert 0 < result.probability <= sum(t[2] for t in result.tree_tallies)
+    assert dop.write_tree(result.tree) == result.tree_tallies[0][0]

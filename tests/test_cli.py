@@ -9,7 +9,7 @@ from dop.cli import _parse_corpus, main
 from dop import GrammarError, load_model, read_trees, write_tree
 from dop.modelio import model_to_text
 from dop.tree import write_treebank
-from conftest import TOY_CORPUS, synthetic_treebank
+from conftest import TOY_CORPUS, synthetic_treebank, unary_chain_model
 
 
 @pytest.fixture
@@ -83,6 +83,21 @@ def test_parse_command(toy_paths, tmp_path):
     assert len(stat_rows) == 3
     assert stat_rows[0][0] == "0" and int(stat_rows[0][2]) > 0
     assert stat_rows[1][2] == "0"
+
+
+def test_parse_deep_unary_chain(tmp_path):
+    # the parse is written as the string the parser built: no recursion
+    # per tree level on the way out
+    key, text = unary_chain_model(3000)
+    model = tmp_path / "chain.dopmodel"
+    model.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w\n")
+    out = tmp_path / "out.txt"
+    code = main(["parse", "--model", str(model), "--input", str(sents),
+                 "--output", str(out)])
+    assert code == 0
+    assert out.read_text() == key + "\n"
 
 
 def test_parse_empty_input(toy_paths, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from dop import (Fragment, FragmentOverflowError, RestrictionSet,
                  SamplingError, Site, Tree, depth1_fragment, extract_all,
                  extract_treebank, headword, nonheadword_count, passes,
-                 read_trees, sample_fragments, write_tree)
+                 Treebank, read_trees, sample_fragments, write_tree)
 from conftest import TOY_HEAD_RULES, random_tree
 
 
@@ -122,8 +122,16 @@ def test_sample_deterministic(toy_treebank):
 
 def test_sample_impossible_depth(toy_treebank):
     with pytest.raises(SamplingError):
-        sample_fragments(toy_treebank, depth=15, count=1, seed=1,
-                         max_restarts=200)
+        sample_fragments(toy_treebank, depth=15, count=1, seed=1)
+
+
+def test_sample_rare_depth_takes_as_many_restarts_as_needed():
+    # one node in 2000 reaches depth 2, so 100 draws expect about 200000
+    # restarts; the sampler keeps drawing however many that takes
+    bank = Treebank((read_trees("(S (X w))")[0],)
+                    + (read_trees("(X w)")[0],) * 999)
+    fragments = sample_fragments(bank, depth=2, count=100, seed=3)
+    assert fragments == Counter({Fragment.from_string("(S (X w))"): 100})
 
 
 def test_sample_rejects_depth_one(toy_treebank):

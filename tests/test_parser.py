@@ -14,7 +14,7 @@ from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
 from dop.modelio import model_from_text
 from dop.parser import Derivation, _scaled, _unscaled
 from dop.tree import Treebank
-from conftest import TOY_HEAD_RULES, random_tree
+from conftest import TOY_HEAD_RULES, random_tree, unary_chain_model
 
 
 def frag(text):
@@ -204,16 +204,11 @@ def test_deep_unary_chain_parses():
     # one fragment, a 3000-level unary chain: building its tree must not
     # recurse once per level
     depth = 3000
-    key = "".join("(X%d " % i for i in range(depth)) + "w" + ")" * depth
-    model = model_from_text(
-        "dopmodel\t1\n"
-        "restriction\tmax_depth=-\tmax_frontier_words=-\tmax_unlex_depth=-"
-        "\tmax_nonheadwords=-\tsample_per_depth=-\n"
-        "smoothing\toff\nstart\tX0\nprior\tX0\t1\nroot\tX0\t1\t1\t0\n"
-        "entries\n1\t1\t%s\n" % key)
-    result = SentenceParser(model).parse(["w"])
+    key, text = unary_chain_model(depth)
+    result = SentenceParser(model_from_text(text)).parse(["w"])
     assert result.probability == 1.0
     assert result.tree_tallies == ((key, 1, 1.0),)
+    assert result.bracketed == key
     node, labels = result.tree, []
     while isinstance(node, Tree):
         labels.append(node.label)
