@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from .fragments import (FragmentOverflowError, RestrictionSet, SamplingError,
                         depth1_fragment, extract_treebank, sample_fragments)
@@ -53,23 +52,6 @@ _SWEEP_FIELDS = {
     "unlex-depth": "max_unlex_depth",
     "nonheadwords": "max_nonheadwords",
 }
-
-
-@dataclass
-class ExperimentConfig:
-    train_path: str
-    test_path: str
-    grid: list                # (bound string, RestrictionSet) per grid point
-    n_best: int
-    prune_ratio: float
-    workers: int
-    out_dir: str
-
-    def __post_init__(self):
-        if not self.grid:
-            raise ValueError("experiment grid is empty")
-        if self.n_best < 1:
-            raise ValueError("n_best must be >= 1")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -398,40 +380,37 @@ def cmd_experiment(args) -> int:
             for name in ("max_depth", "max_frontier_words", "max_unlex_depth",
                          "max_nonheadwords", "sample_per_depth")})
         grid.append((raw, restriction))
-    # a bad training option fails the command here, not every grid point
+    # a bad option fails the command here, not every grid point
     options.smoothing()
     options.integer("seed")
     options.integer("unknown_threshold")
-    config = ExperimentConfig(
-        train_path=args.train, test_path=args.test, grid=grid,
-        n_best=options.integer("n_best"),
-        prune_ratio=options.floating("prune_ratio"),
-        workers=options.integer("workers"), out_dir=args.out)
-    return run_experiment(config, options)
+    n_best = options.integer("n_best")
+    if n_best < 1:
+        raise ValueError("n_best must be >= 1")
+    prune_ratio = options.floating("prune_ratio")
+    workers = options.integer("workers")
 
-
-def run_experiment(config: ExperimentConfig, options) -> int:
-    os.makedirs(config.out_dir, exist_ok=True)
-    treebank = _read_normalized_treebank(config.train_path)
-    gold = _read_normalized_treebank(config.test_path)
+    os.makedirs(args.out, exist_ok=True)
+    treebank = _read_normalized_treebank(args.train)
+    gold = _read_normalized_treebank(args.test)
     sentences = [tree.leaves() for tree in gold.trees]
-    with open(config.train_path, "rb") as handle:
+    with open(args.train, "rb") as handle:
         digest = hashlib.sha256(handle.read()).hexdigest()
 
     cache = {}
     table = ["bound\tLP\tLR\tseconds"]
-    for bound, restriction in config.grid:
+    for bound, restriction in grid:
         started = time.perf_counter()
         try:
             model, _ = _train_model(treebank, restriction, options,
                                     cache=cache, digest=digest)
             print("grid %s: %d fragment types kept" % (bound, len(model.entries)),
                   file=sys.stderr)
-            write_model(model, os.path.join(config.out_dir,
+            write_model(model, os.path.join(args.out,
                                             "model_%s.dopmodel" % bound))
-            rows = _parse_corpus(model, sentences, config.n_best,
-                                 config.prune_ratio, config.workers)
-            parse_path = os.path.join(config.out_dir, "parse_%s.txt" % bound)
+            rows = _parse_corpus(model, sentences, n_best, prune_ratio,
+                                 workers)
+            parse_path = os.path.join(args.out, "parse_%s.txt" % bound)
             with open(parse_path, "w", encoding="utf8") as handle:
                 for bracketed, _, _, _ in rows:
                     handle.write((bracketed or NO_PARSE_LINE) + "\n")
@@ -448,7 +427,7 @@ def run_experiment(config: ExperimentConfig, options) -> int:
             print("grid point %s failed: %s" % (bound, err), file=sys.stderr)
             table.append("%s\tFAILED\tFAILED\t-" % bound)
     text = "\n".join(table) + "\n"
-    with open(os.path.join(config.out_dir, "table.tsv"), "w",
+    with open(os.path.join(args.out, "table.tsv"), "w",
               encoding="utf8") as handle:
         handle.write(text)
     sys.stdout.write(text)

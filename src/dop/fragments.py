@@ -13,7 +13,7 @@ open VP site.
 """
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .tree import _TOKEN, Site, Tree, Treebank, _tokenize, write_tree
@@ -64,7 +64,7 @@ class Fragment:
     @property
     def depth(self) -> int:
         if self._depth is None:
-            object.__setattr__(self, "_depth", _depth_of(self.structure))
+            object.__setattr__(self, "_depth", self.structure.depth())
         return self._depth
 
     @property
@@ -102,16 +102,6 @@ class Fragment:
 
     def __str__(self):
         return self.key
-
-
-def _depth_of(node):
-    best = 0
-    for child in node.children:
-        if isinstance(child, Tree):
-            best = max(best, _depth_of(child))
-        else:
-            best = max(best, 0)
-    return 1 + best
 
 
 def _read_key(text):
@@ -263,8 +253,8 @@ def sample_fragments(treebank: Treebank, depth: int, count: int,
         raise SamplingError("empty treebank")
     rng = random.Random(seed)
     node_lists = [list(t.subtrees()) for t in treebank.trees]
-    depths = [{id(n): n.depth() for n in nodes} for nodes in node_lists]
-    if max(max(tree_depths.values()) for tree_depths in depths) < depth:
+    height_lists = [_heights(nodes) for nodes in node_lists]
+    if max(heights[0] for heights in height_lists) < depth:
         raise SamplingError("no node in the treebank reaches depth %d" % depth)
 
     result = Counter()
@@ -272,69 +262,73 @@ def sample_fragments(treebank: Treebank, depth: int, count: int,
     while produced < count:
         ti = rng.randrange(len(node_lists))
         nodes = node_lists[ti]
-        node = nodes[rng.randrange(len(nodes))]
-        if depths[ti][id(node)] < depth:
+        ni = rng.randrange(len(nodes))
+        if height_lists[ti][ni] < depth:
             continue
-        result[_grow(node, depth, rng)] += 1
+        result[_grow(nodes[ni], depth, rng)] += 1
         produced += 1
     return result
 
 
-def _grow(root: Tree, target: int, rng: random.Random) -> Fragment:
-    # working nodes are [label, children-list]; sites appear as
-    # (corpus_node, depth) placeholders until expanded or frozen
-    def expand_placeholder(corpus_node, site_depth):
-        children = []
-        new_sites = []
-        for child in corpus_node.children:
-            if isinstance(child, str):
-                children.append(child)
-            else:
-                placeholder = [child, site_depth + 1, None]
-                children.append(placeholder)
-                new_sites.append(placeholder)
-        return [corpus_node.label, children], new_sites
+def _heights(nodes):
+    """`Tree.depth` of each node of a preorder list, in one bottom-up pass.
 
-    work, open_sites = expand_placeholder(root, 0)
+    Walked backwards, a preorder list meets each node right after the
+    subtrees of all its children, so their heights are on top of the stack.
+    """
+    heights = [0] * len(nodes)
+    stack = []
+    for i in range(len(nodes) - 1, -1, -1):
+        best = 0
+        for child in nodes[i].children:
+            if isinstance(child, Tree):
+                best = max(best, stack.pop())
+        heights[i] = best + 1
+        stack.append(best + 1)
+    return heights
+
+
+def _grow(root: Tree, target: int, rng: random.Random) -> Fragment:
+    # a site is [corpus node, depth, children once expanded]
+    top = [root, 0, None]
+    open_sites = _expand(top)
     cur_depth = 1
 
     # grow until the target depth is reached
     while cur_depth < target:
-        idx = rng.randrange(len(open_sites))
-        placeholder = open_sites.pop(idx)
-        corpus_node, site_depth, _ = placeholder
-        node, new_sites = expand_placeholder(corpus_node, site_depth)
-        placeholder[2] = node
-        open_sites.extend(new_sites)
-        cur_depth = max(cur_depth, site_depth + 1)
+        site = open_sites.pop(rng.randrange(len(open_sites)))
+        open_sites.extend(_expand(site))
+        cur_depth = max(cur_depth, site[1] + 1)
 
     # decide the remaining expandable sites by coin flip; sites at the
     # target depth stay frontier so the depth is exact
-    queue = list(open_sites)
+    queue = deque(open_sites)
     while queue:
-        placeholder = queue.pop(0)
-        corpus_node, site_depth, _ = placeholder
-        if site_depth >= target:
-            continue
-        if rng.random() < 0.5:
-            node, new_sites = expand_placeholder(corpus_node, site_depth)
-            placeholder[2] = node
-            queue.extend(new_sites)
+        site = queue.popleft()
+        if site[1] < target and rng.random() < 0.5:
+            queue.extend(_expand(site))
 
-    def freeze(item):
-        if isinstance(item, str):
-            return item
-        if len(item) == 3:  # placeholder
-            corpus_node, _, expansion = item
-            if expansion is None:
-                return Site(corpus_node.label)
-            return freeze(expansion)
-        label, children = item
-        return Tree(label, tuple(freeze(c) for c in children))
-
-    fragment = Fragment(freeze(work))
+    fragment = Fragment(_freeze(top))
     assert fragment.depth == target
     return fragment
+
+
+def _expand(site):
+    """Give the site its children, words and new sites; return the sites."""
+    node, site_depth, _ = site
+    children = [child if isinstance(child, str)
+                else [child, site_depth + 1, None]
+                for child in node.children]
+    site[2] = children
+    return [child for child in children if not isinstance(child, str)]
+
+
+def _freeze(site):
+    node, _, children = site
+    if children is None:
+        return Site(node.label)
+    return Tree(node.label, [child if isinstance(child, str) else _freeze(child)
+                             for child in children])
 
 
 def headword(fragment: Fragment, rules: HeadRuleTable) -> str | None:

@@ -92,8 +92,7 @@ class FragmentModel:
 
 
 def build_model(fragments: Counter, restriction: RestrictionSet,
-                rules: HeadRuleTable, start_labels=None,
-                priors=None) -> FragmentModel:
+                rules: HeadRuleTable, start_labels=None) -> FragmentModel:
     """Relative-frequency model over the restricted fragment multiset.
 
     Fragments failing the restriction are dropped here regardless of what
@@ -116,14 +115,13 @@ def build_model(fragments: Counter, restriction: RestrictionSet,
 
     if start_labels is None:
         start_labels = frozenset(root_totals)
-    if priors is None:
-        priors = _default_priors(kept, root_totals)
     return FragmentModel(entries=entries, root_totals=dict(root_totals),
                          restriction=restriction,
-                         start_labels=frozenset(start_labels), priors=priors)
+                         start_labels=frozenset(start_labels),
+                         priors=_priors(kept, root_totals))
 
 
-def _default_priors(fragments: dict, root_totals) -> dict:
+def _priors(fragments: dict, root_totals) -> dict:
     # relative node-label frequency, read off the depth-1 fragment counts
     counts = Counter()
     for fragment, count in fragments.items():

@@ -82,16 +82,14 @@ class OracleReport:
                    if write_tree(d.tree) == bracketed)
 
 
-def enumerate_derivations(model: FragmentModel, sentence, cap: int = 10**6,
-                          start_labels=None) -> OracleReport:
+def enumerate_derivations(model: FragmentModel, sentence,
+                          cap: int = 10**6) -> OracleReport:
     """Every derivation of the sentence under the model.
 
     `cap` bounds expansion steps as well as finished derivations, so
     models with unary fragment cycles overflow instead of hanging.
     """
     sentence = tuple(sentence)
-    if start_labels is None:
-        start_labels = model.start_labels
     by_root = {}
     for key in sorted(model.entries):
         entry = model.entries[key]
@@ -126,7 +124,7 @@ def enumerate_derivations(model: FragmentModel, sentence, cap: int = 10**6,
             expand(fragment.frontier + seq[1:], pos, chosen, probability * p)
             chosen.pop()
 
-    for label in sorted(start_labels):
+    for label in sorted(model.start_labels):
         expand((Site(label),), 0, [], Fraction(1))
 
     tree_sums = {}

@@ -86,17 +86,25 @@ class Tree:
         return out
 
     def subtrees(self):
-        """All labeled nodes in preorder, preterminals included."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Tree):
-                yield from child.subtrees()
+        """All labeled nodes in preorder, preterminals included; `Site`s
+        are skipped."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Tree):
+                yield node
+                children = node.children
+                # a preterminal's word and a lone site push nothing
+                if len(children) > 1 or isinstance(children[0], Tree):
+                    stack.extend(reversed(children))
 
     def depth(self):
-        """Edges on the longest path from this node down to a word."""
-        if self.is_preterminal:
-            return 1
-        return 1 + max(c.depth() for c in self.children)
+        """Edges on the longest path from this node down to a word or site."""
+        best = 0
+        for child in self.children:
+            if isinstance(child, Tree):
+                best = max(best, child.depth())
+        return 1 + best
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -117,21 +125,17 @@ class Tree:
 
 @dataclass(frozen=True)
 class Treebank:
-    """An ordered tree collection with its symbol inventory and vocabulary."""
+    """An ordered tree collection with its vocabulary."""
 
     trees: tuple
-    inventory: frozenset = field(init=False)
     vocabulary: Counter = field(init=False)
 
     def __post_init__(self):
-        labels = set()
         vocab = Counter()
         for tree in self.trees:
             for node in tree.subtrees():
-                labels.add(node.label)
                 if node.is_preterminal:
                     vocab[node.word] += 1
-        object.__setattr__(self, "inventory", frozenset(labels))
         object.__setattr__(self, "vocabulary", vocab)
 
     def __len__(self):

@@ -382,6 +382,13 @@ def test_experiment_bad_training_option_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+def test_experiment_zero_n_best_is_data_error(tmp_path, capsys):
+    argv = _experiment_argv(tmp_path) + ["--n-best", "0"]
+    assert main(argv) == 2
+    assert "n_best must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+
+
 def test_experiment_propagates_internal_errors(tmp_path, capsys, monkeypatch):
     def drift(chart, n):
         raise AssertionError("derivation probability drift")

@@ -9,6 +9,7 @@ from dop import (Fragment, FragmentOverflowError, RestrictionSet,
                  SamplingError, Site, Tree, depth1_fragment, extract_all,
                  extract_treebank, headword, nonheadword_count, passes,
                  Treebank, read_trees, sample_fragments, write_tree)
+from dop.fragments import _heights
 from conftest import TOY_HEAD_RULES, random_tree
 
 
@@ -132,6 +133,13 @@ def test_sample_rare_depth_takes_as_many_restarts_as_needed():
                     + (read_trees("(X w)")[0],) * 999)
     fragments = sample_fragments(bank, depth=2, count=100, seed=3)
     assert fragments == Counter({Fragment.from_string("(S (X w))"): 100})
+
+
+def test_height_lists_match_tree_depth():
+    rng = random.Random(5)
+    for _ in range(40):
+        nodes = list(random_tree(rng, max_internal=30, max_depth=7).subtrees())
+        assert _heights(nodes) == [node.depth() for node in nodes]
 
 
 def test_sample_rejects_depth_one(toy_treebank):

@@ -1,10 +1,11 @@
-"""Golden bytes: model files, parse output and experiment tables.
+"""Golden bytes: models, parses, sampled fragments and experiment tables.
 
 The hashes were recorded before refactors that must not change output:
 the parse hashes before the derivation layer stopped building a tree per
 derivation, the model and experiment hashes before the duplicate
 fragment-collection, bracket-writing and parse-entry paths were removed,
-the chart hash before the binary step stopped visiting dotted right items.
+the chart hash before the binary step stopped visiting dotted right items,
+the sampled-fragment hash before the sampler moved to per-tree height lists.
 Any change to model bytes, parse choices, probabilities or chart contents
 shows up here.
 """
@@ -12,6 +13,7 @@ shows up here.
 import hashlib
 
 from dop.cli import main
+from dop.fragments import dump_fragments, sample_fragments
 from dop.modelio import load_model
 from dop.parser import SentenceParser
 from dop.tree import write_treebank
@@ -27,6 +29,8 @@ SAMPLED_MODEL_SHA256 = (
     "5d45c83db43bc9f4bfbc95d10169d0c18fdf712728754b3429c7d57226d8ef34")
 EXHAUSTIVE_MODEL_SHA256 = (
     "6d57bb680d7d9637c5e64f0394bba9d43adb2d6911d3e5f7e55d43e799d7056e")
+SAMPLED_FRAGMENTS_SHA256 = (
+    "98d55482ab7717ff18caab79fcfa9b261b0a04732d180a91090a1359e689d204")
 EXPERIMENT_TABLE_SHA256 = (
     "16c5e3e824f22277705307ead3c8030b65ff8365b3fa0b041e3ce3b79e622e4b")
 EXPERIMENT_MODEL_SHA256 = {
@@ -91,6 +95,16 @@ def test_golden_chart(tmp_path, capsys):
                          for rule, tails, _ in item.edges]
                 lines.append("%r %r %r" % (sym, item.inside, edges))
     assert _sha256("\n".join(lines)) == CHART_SHA256
+
+
+def test_golden_sampled_fragments():
+    # nodes of this bank reach depth 10; the model goldens sample to depth 4
+    bank = synthetic_treebank(300, seed=23, max_words=15)
+    lines = []
+    for depth in range(2, 9):
+        lines.extend(dump_fragments(
+            sample_fragments(bank, depth, 500, seed=depth)))
+    assert _sha256("\n".join(lines)) == SAMPLED_FRAGMENTS_SHA256
 
 
 def test_golden_exhaustive_smoothed_model(tmp_path, capsys):

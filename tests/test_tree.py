@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from dop import (Tree, TreeReadError, constituents, normalize,
+from dop import (Site, Tree, TreeReadError, constituents, normalize,
                  normalize_treebank, read_treebank, read_trees, write_tree)
-from conftest import random_tree
+from conftest import random_tree, unary_chain_model
 
 
 def test_read_single_tree():
@@ -70,10 +70,26 @@ def test_round_trip_toy_corpus(toy_treebank):
         assert read_trees(write_tree(tree))[0] == tree
 
 
-def test_treebank_inventory_and_vocabulary(toy_treebank):
-    assert toy_treebank.inventory == {"S", "NP", "VP", "V"}
+def test_treebank_vocabulary(toy_treebank):
     assert toy_treebank.vocabulary["john"] == 1
     assert sum(toy_treebank.vocabulary.values()) == 6
+
+
+def test_deep_unary_chain_treebank():
+    key, _ = unary_chain_model(3000)
+    bank = read_treebank(key)
+    nodes = list(bank.trees[0].subtrees())
+    assert [node.label for node in nodes] == ["X%d" % i for i in range(3000)]
+    assert bank.vocabulary == {"w": 1}
+
+
+def test_subtrees_and_depth_of_fragment_structure():
+    # (S (NP) (VP (V x) (NP))): sites are no nodes and count 0 in depth
+    vp = Tree("VP", (Tree("V", ("x",)), Site("NP")))
+    tree = Tree("S", (Site("NP"), vp))
+    assert [node.label for node in tree.subtrees()] == ["S", "VP", "V"]
+    assert tree.depth() == 3
+    assert Tree("S", (Site("NP"), Site("VP"))).depth() == 1
 
 
 def test_normalize_strips_function_tags():
