@@ -252,31 +252,45 @@ def collect_fragments(treebank, restriction, seed, cache=None, digest=""):
 
 
 def _train_model(treebank, restriction, options, cache=None, digest=""):
-    rules = _load_head_rules(options)
-    seed = options.integer("seed")
-    fragments, depth_counts = collect_fragments(
-        treebank, restriction, seed, cache=cache, digest=digest)
-    start_labels = frozenset(tree.label for tree in treebank.trees)
-    model = build_model(fragments, restriction, rules, start_labels=start_labels)
-    if options.smoothing():
-        model = good_turing_adjust(model)
-    try:
-        model.unknown_words = train_unknown_model(
-            treebank, options.integer("unknown_threshold"))
-    except GrammarError as err:
-        print("unknown-word model skipped: %s" % err, file=sys.stderr)
-    return model, depth_counts
+    # Training makes no reference cycles (see cmd_train), so the cycle
+    # collector is paused here too: an experiment grid point trains
+    # through this function alone.
+    with collector_paused():
+        rules = _load_head_rules(options)
+        seed = options.integer("seed")
+        fragments, depth_counts = collect_fragments(
+            treebank, restriction, seed, cache=cache, digest=digest)
+        start_labels = frozenset(tree.label for tree in treebank.trees)
+        model = build_model(fragments, restriction, rules,
+                            start_labels=start_labels)
+        if options.smoothing():
+            model = good_turing_adjust(model)
+        try:
+            model.unknown_words = train_unknown_model(
+                treebank, options.integer("unknown_threshold"))
+        except GrammarError as err:
+            print("unknown-word model skipped: %s" % err, file=sys.stderr)
+        return model, depth_counts
 
 
 def cmd_train(args) -> int:
     options = _Options(args)
-    treebank = _read_normalized_treebank(args.train)
-    model, depth_counts = _train_model(treebank, options.restriction(), options)
-    write_model(model, args.model)
+    # Trees, fragments and the model hold no reference cycles: reference
+    # counting frees whatever training drops, and a collection would only
+    # scan the live treebank again (about a fifth of the command's time).
+    with collector_paused():
+        treebank = _read_normalized_treebank(args.train)
+        model, depth_counts = _train_model(treebank, options.restriction(),
+                                           options)
+        write_model(model, args.model)
+        entries, roots = len(model.entries), len(model.root_totals)
+        # the first collection after the pause would scan every object
+        # made during it that is still alive: drop the big ones first
+        del treebank, model
     for depth in sorted(depth_counts):
         print("depth %d: %d fragment tokens" % (depth, depth_counts[depth]))
     print("model: %d fragments over %d roots -> %s"
-          % (len(model.entries), len(model.root_totals), args.model))
+          % (entries, roots, args.model))
     return 0
 
 
@@ -314,7 +328,11 @@ def _worker_init(model, n_best, prune_ratio):
 def _worker_parse(words):
     parser = _WORKER_STATE["parser"]
     started = time.perf_counter()
-    result = parser.parse(words) if words else None
+    # A sentence's chart and derivations hold no reference cycles, so
+    # reference counting frees them when the parse returns; a collection
+    # during the parse would only scan them.
+    with collector_paused():
+        result = parser.parse(words) if words else None
     seconds = time.perf_counter() - started
     if result is None:
         return None, 0.0, 0, seconds

@@ -71,16 +71,18 @@ class Fragment:
     def frontier(self) -> tuple:
         """Frontier items left to right: word strings and Site markers."""
         if self._frontier is None:
+            # an explicit stack of child iterators, not a self-calling
+            # closure, which would leave a reference cycle per call
             items = []
-
-            def walk(node):
-                for child in node.children:
+            stack = [iter(self.structure.children)]
+            while stack:
+                for child in stack[-1]:
                     if isinstance(child, Tree):
-                        walk(child)
-                    else:
-                        items.append(child)
-
-            walk(self.structure)
+                        stack.append(iter(child.children))
+                        break
+                    items.append(child)
+                else:
+                    stack.pop()
             object.__setattr__(self, "_frontier", tuple(items))
         return self._frontier
 

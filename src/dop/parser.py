@@ -11,13 +11,13 @@ sums derivation probabilities per string. A parse is that string; a Tree
 is read from it only when asked for.
 """
 
-import heapq
 import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .fragments import Fragment
 from .model import FragmentModel
@@ -49,6 +49,11 @@ class IndexedRule:
         the first time the rule is realized.
         """
         return tuple(_SITE_TEXT.split(self.fragment.key))
+
+    @cached_property
+    def scaled(self) -> int:
+        """logprob as an exact int (see _scaled), computed on first use."""
+        return _scaled(self.logprob)
 
 
 # every finite float is an integer multiple of 2**-1074
@@ -164,12 +169,18 @@ class ChartItem:
     (rule-or-None, tails, log weight) triples. Binary steps and prefix
     completions, which never repeat an edge, append theirs directly;
     add_edge, which drops an edge the item already has, is for the unary
-    closure. The derivation list and candidate heap are filled
-    lazily during n-best extraction.
+    closure.
+
+    The rest is n-best state, filled lazily during extraction: derivs
+    lists the derivations found so far, best first; cand is the candidate
+    heap, and None once the item has no more derivations (and before the
+    first request, while derivs is None); pending is the last popped
+    derivation, whose successors are pushed on the next request; reals
+    maps k to the realization of derivs[k] (see _realize).
     """
 
     __slots__ = ("sym", "span", "inside", "edges", "_edge_ids",
-                 "derivs", "cand", "pending")
+                 "derivs", "cand", "pending", "reals")
 
     def __init__(self, sym, span):
         self.sym = sym
@@ -180,6 +191,7 @@ class ChartItem:
         self.derivs = None
         self.cand = None
         self.pending = None
+        self.reals = None
 
     def add_edge(self, rule, tails, weight):
         edge_id = (rule.index if rule else -1, tuple(id(t) for t in tails))
@@ -386,7 +398,7 @@ class Derivation:
     probabilities; bracketed is the write_tree form of the derived tree,
     which tree reads back on each access.
     realized is a nested (fragment, subs, ...) tuple, subs holding the
-    realizations of the fragment's sites left to right; fragments, in
+    realizations of the fragment's sites right to left; fragments, in
     leftmost-substitution order, is flattened from it on first access.
     """
 
@@ -406,7 +418,7 @@ class Derivation:
             while stack:
                 realized = stack.pop()
                 fragments.append(realized[0])
-                stack.extend(reversed(realized[1]))
+                stack.extend(realized[1])
             self._fragments = tuple(fragments)
         return self._fragments
 
@@ -441,103 +453,144 @@ def _get_kth(item, k):
     derivation is asked for. Each jvec has one designated predecessor, so
     no candidate is pushed twice. Successors never score above their
     predecessor, so derivations come out in (-logprob, edge index, jvec)
-    order whichever way the heap is fed.
+    order whichever way the heap is fed. Once the heap runs dry, cand is
+    set to None: the item has no more derivations, and callers that see
+    that ask no further.
     """
     derivs = item.derivs
     if derivs is None:
         derivs = item.derivs = []
-        item.cand = []
         if item.sym[0] == "w":
             derivs.append((0.0, -1, ()))
-        else:
-            for edge_idx, (_, tails, _) in enumerate(item.edges):
-                _push_candidate(item, edge_idx, (0,) * len(tails))
+            return derivs[0] if k == 0 else None
+        item.cand = []
+        item.reals = {}
+        for edge_idx, (_, tails, _) in enumerate(item.edges):
+            if len(tails) == 1:
+                _push_one(item, edge_idx, 0)
+            else:
+                _push_two(item, edge_idx, 0, 0)
     cand = item.cand
     while len(derivs) <= k:
-        if item.pending is not None:
-            edge_idx, jvec = item.pending
+        pending = item.pending
+        if pending is not None:
             item.pending = None
+            _, edge_idx, jvec = pending
             # edges have one tail (completions, the goal) or two (prefix
             # steps); (a, b) bumps a only while b is 0
             if len(jvec) == 1:
-                _push_candidate(item, edge_idx, (jvec[0] + 1,))
+                _push_one(item, edge_idx, jvec[0] + 1)
             else:
                 a, b = jvec
                 if b == 0:
-                    _push_candidate(item, edge_idx, (a + 1, 0))
-                _push_candidate(item, edge_idx, (a, b + 1))
+                    _push_two(item, edge_idx, a + 1, 0)
+                _push_two(item, edge_idx, a, b + 1)
         if not cand:
+            item.cand = None
             return None
-        neg, edge_idx, jvec = heapq.heappop(cand)
-        derivs.append((-neg, edge_idx, jvec))
-        item.pending = (edge_idx, jvec)
+        neg, edge_idx, jvec = heappop(cand)
+        deriv = (-neg, edge_idx, jvec)
+        derivs.append(deriv)
+        item.pending = deriv
     return derivs[k]
 
 
-def _push_candidate(item, edge_idx, jvec):
-    _, tails, score = item.edges[edge_idx]
-    for tail, j in zip(tails, jvec):
-        derivs = tail.derivs
-        if derivs is not None and j < len(derivs):
-            sub = derivs[j]
-        else:
-            sub = _get_kth(tail, j)
-            if sub is None:
-                return
-        score += sub[0]
-    heapq.heappush(item.cand, (-score, edge_idx, jvec))
+def _push_one(item, edge_idx, j):
+    """Push candidate (j,) of a one-tail edge, if the tail has a j-th."""
+    _, tails, weight = item.edges[edge_idx]
+    tail = tails[0]
+    derivs = tail.derivs
+    if derivs is not None and j < len(derivs):
+        score = derivs[j][0]
+    elif derivs is not None and tail.cand is None:
+        return
+    else:
+        sub = _get_kth(tail, j)
+        if sub is None:
+            return
+        score = sub[0]
+    heappush(item.cand, (-(weight + score), edge_idx, (j,)))
 
 
-def _sites(item, k):
-    """(item, k) per substitution site of an 'n' item's k-th derivation.
+def _push_two(item, edge_idx, a, b):
+    """Push candidate (a, b) of a prefix step, if both tails have theirs.
 
-    Walks the binarized prefix chain of the derivation's rule back into
-    the rhs item sequence, keeping the 'n' items (words carry no
-    subderivation).
+    The score sums as (weight + left) + right, the order every other
+    candidate of the item was scored in.
     """
-    _, edge_idx, jvec = item.derivs[k]
-    item, k = item.edges[edge_idx][1][0], jvec[0]
-    sites = []
-    while item.sym[0] == "p":
-        _, edge_idx, jvec = item.derivs[k]
-        left, right = item.edges[edge_idx][1]
-        if right.sym[0] == "n":
-            sites.append((right, jvec[1]))
-        item, k = left, jvec[0]
-    if item.sym[0] == "n":
-        sites.append((item, k))
-    sites.reverse()
-    return sites
+    _, (left, right), weight = item.edges[edge_idx]
+    derivs = left.derivs
+    if derivs is not None and a < len(derivs):
+        left_score = derivs[a][0]
+    elif derivs is not None and left.cand is None:
+        return
+    else:
+        sub = _get_kth(left, a)
+        if sub is None:
+            return
+        left_score = sub[0]
+    derivs = right.derivs
+    if derivs is not None and b < len(derivs):
+        right_score = derivs[b][0]
+    elif derivs is not None and right.cand is None:
+        return
+    else:
+        sub = _get_kth(right, b)
+        if sub is None:
+            return
+        right_score = sub[0]
+    heappush(item.cand,
+             (-((weight + left_score) + right_score), edge_idx, (a, b)))
 
 
-def _realize(item, k, memo):
+def _realize(item, k):
     """The k-th derivation of an 'n' item as (fragment, subs, string, sum).
 
-    subs are the realizations of the substitution sites, left to right;
+    subs are the realizations of the substitution sites, right to left;
     the string joins the rule's fragment template with theirs; sum is the
     derivation's log probability scaled by 2**1074, an exact int (see
-    _scaled). Memoized per (item, k), so a subderivation shared by many
-    derivations is realized once; callers look in memo first.
+    _scaled). Kept in item.reals[k], so a subderivation shared by many
+    derivations is realized once; callers look there first.
     """
-    rule = item.edges[item.derivs[k][1]][0]
+    _, edge_idx, jvec = item.derivs[k]
+    rule, tails, _ = item.edges[edge_idx]
     template = rule.template
-    total = _scaled(rule.logprob)
+    total = rule.scaled
+    # walk the binarized prefix chain of the rule back into its rhs item
+    # sequence, right to left; the 'n' items are the sites (words carry
+    # no subderivation), and site i goes between template pieces i, i + 1
     subs = []
-    for site_item, site_k in _sites(item, k):
-        sub = memo.get((id(site_item), site_k))
+    pieces = [template[-1]]
+    i = len(template) - 1
+    tail, j = tails[0], jvec[0]
+    while tail.sym[0] == "p":
+        _, edge_idx, jvec = tail.derivs[j]
+        tail, right = tail.edges[edge_idx][1]
+        if right.sym[0] == "n":
+            site_k = jvec[1]
+            sub = right.reals.get(site_k)
+            if sub is None:
+                sub = _realize(right, site_k)
+            total += sub[3]
+            subs.append(sub)
+            i -= 1
+            pieces.append(sub[2])
+            pieces.append(template[i])
+        j = jvec[0]
+    if tail.sym[0] == "n":
+        sub = tail.reals.get(j)
         if sub is None:
-            sub = _realize(site_item, site_k, memo)
+            sub = _realize(tail, j)
         total += sub[3]
         subs.append(sub)
+        pieces.append(sub[2])
+        pieces.append(template[0])
     if subs:
-        pieces = [None] * (2 * len(template) - 1)
-        pieces[::2] = template
-        pieces[1::2] = [sub[2] for sub in subs]
+        pieces.reverse()
         bracketed = "".join(pieces)
     else:
         bracketed = template[0]
-    result = (rule.fragment, subs, bracketed, total)
-    memo[(id(item), k)] = result
+    result = item.reals[k] = (rule.fragment, subs, bracketed, total)
     return result
 
 
@@ -548,7 +601,8 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     of the forest. Each derivation carries its tree as a bracketed string;
     no Tree is built here. Probabilities are recomputed from the fragments
     as exact sums, rounded once, then checked against the extraction
-    scores.
+    scores. The search state (derivs, cand, pending, reals) lives on the
+    chart items, so a second call on the same chart resumes it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -561,16 +615,16 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     goal = ChartItem(("g", None), (0, len(chart.sentence)))
     for item in chart.start_items:
         goal.add_edge(None, (item,), 0.0)
-    memo = {}
     result = []
     for k in range(n):
         deriv = _get_kth(goal, k)
         if deriv is None:
             break
         score, edge_idx, jvec = deriv
-        _, tails, _ = goal.edges[edge_idx]
-        # a new (start item, k) each time, so not in memo yet
-        realized = _realize(tails[0], jvec[0], memo)
+        start_item, j = goal.edges[edge_idx][1][0], jvec[0]
+        realized = start_item.reals.get(j)
+        if realized is None:
+            realized = _realize(start_item, j)
         logprob = _unscaled(realized[3])
         if not math.isclose(logprob, score, rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(

@@ -100,11 +100,13 @@ class Tree:
 
     def depth(self):
         """Edges on the longest path from this node down to a word or site."""
-        best = 0
-        for child in self.children:
-            if isinstance(child, Tree):
-                best = max(best, child.depth())
-        return 1 + best
+        depth = 0
+        level = [self]
+        while level:
+            depth += 1
+            level = [child for node in level for child in node.children
+                     if isinstance(child, Tree)]
+        return depth
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -255,14 +257,33 @@ def normalize(tree: Tree) -> Tree | None:
     Deletion of a node removes ancestors left childless. Returns None when
     the whole tree is deleted; callers count such trees as skipped.
     """
-    if tree.is_preterminal:
-        if tree.label in _DELETED_PRETERMINALS:
-            return None
-        return Tree(strip_label(tree.label), tree.children)
-    children = [c for c in (normalize(child) for child in tree.children) if c]
-    if not children:
-        return None
-    return Tree(strip_label(tree.label), children)
+    # Nodes in mirrored preorder (children pushed left to right, so popped
+    # right to left), then rebuilt in reverse: each node finds its
+    # children's results, left to right, on top of the value stack.
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        children = node.children
+        if not isinstance(children[0], str):
+            stack.extend(children)
+    labels = {}
+    values = []
+    for node in reversed(order):
+        label = labels.get(node.label)
+        if label is None:
+            label = labels[node.label] = strip_label(node.label)
+        children = node.children
+        if isinstance(children[0], str):
+            values.append(None if node.label in _DELETED_PRETERMINALS
+                          else Tree(label, children))
+        else:
+            width = len(children)
+            kept = [child for child in values[-width:] if child is not None]
+            del values[-width:]
+            values.append(Tree(label, kept) if kept else None)
+    return values[0]
 
 
 def normalize_treebank(treebank: Treebank) -> tuple[Treebank, int]:

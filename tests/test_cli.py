@@ -100,6 +100,20 @@ def test_parse_deep_unary_chain(tmp_path):
     assert out.read_text() == key + "\n"
 
 
+def test_train_deep_unary_chain(tmp_path, capsys):
+    # normalize and Tree.depth walk the 3000 levels without recursing
+    key, _ = unary_chain_model(3000)
+    train = tmp_path / "chain.mrg"
+    train.write_text(key + "\n")
+    model = tmp_path / "chain.dopmodel"
+    code = main(["train", "--train", str(train), "--model", str(model),
+                 "--max-depth", "3", "--sample-per-depth", "10"])
+    assert code == 0
+    assert len(load_model(model).entries) == 3020
+    out = capsys.readouterr().out
+    assert "depth 3: 10 fragment tokens" in out
+
+
 def test_parse_empty_input(toy_paths, tmp_path):
     _, model_path = toy_paths
     sents = tmp_path / "empty.txt"
@@ -481,6 +495,64 @@ def test_collector_paused_only_while_model_and_parser_build(
     with pytest.raises(ValueError, match="bad grammar"):
         _parse_corpus(read(model_path.read_text()), [["john"]], 10, 1e-5, 1)
     assert gc.isenabled()
+
+
+def test_train_and_parse_run_with_collector_paused(toy_paths, tmp_path,
+                                                  monkeypatch):
+    import dop.cli
+    train, model_path = toy_paths
+    enabled = []
+
+    def recording(name, function):
+        def record(*args, **kwargs):
+            enabled.append((name, gc.isenabled()))
+            return function(*args, **kwargs)
+        monkeypatch.setattr(dop.cli, name, record)
+
+    for name in ("read_treebank", "collect_fragments", "build_model",
+                 "write_model"):
+        recording(name, getattr(dop.cli, name))
+    assert gc.isenabled()
+    assert main(["train", "--train", str(train), "--model",
+                 str(tmp_path / "m"), "--max-depth", "2",
+                 "--sample-per-depth", "20"]) == 0
+    assert enabled == [("read_treebank", False), ("collect_fragments", False),
+                       ("build_model", False), ("write_model", False)]
+    assert gc.isenabled()
+
+    enabled.clear()
+    parse = dop.parser.SentenceParser.parse
+
+    def recording_parse(self, words):
+        enabled.append(("parse", gc.isenabled()))
+        return parse(self, words)
+
+    monkeypatch.setattr(dop.parser.SentenceParser, "parse", recording_parse)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates susan\n")
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(tmp_path / "out.txt")]) == 0
+    assert enabled == [("parse", False)] * 2
+    assert gc.isenabled()
+
+
+def test_train_model_leaves_no_reference_cycles():
+    # the premise of training with the collector paused: reference
+    # counting alone frees what training drops
+    from dop.cli import _Options, _train_model, build_parser
+    bank = synthetic_treebank(200, seed=17)
+    options = _Options(build_parser().parse_args(
+        ["train", "--train", "-", "--model", "-", "--max-depth", "4",
+         "--sample-per-depth", "200"]))
+    restriction = options.restriction()
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = _train_model(bank, restriction, options)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert model.unknown_words is not None
 
 
 def test_no_collection_between_model_load_and_freeze(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -117,6 +118,43 @@ def test_nbest_counts_match_oracle(toy_model):
         derivations = nbest(toy_model, sentence.split())
         report = enumerate_derivations(toy_model, sentence.split())
         assert len(derivations) == len(report.derivations) == expected
+
+
+def test_nbest_resumes_on_the_same_chart(toy_model):
+    # the search state stays on the chart items: a second, longer request
+    # continues it and repeats the first one's derivations
+    words = "john likes mary".split()
+    chart = ChartParser(to_rules(toy_model), start_labels=["S"],
+                        prune_ratio=1e-300).chart(words)
+    first = nbest_derivations(chart, 5)
+    every = nbest_derivations(chart, 10 ** 5)
+    report = enumerate_derivations(toy_model, words)
+    assert len(every) == len(report.derivations) == 16
+    assert ([(d.bracketed, d.logprob, d.fragments) for d in every[:5]]
+            == [(d.bracketed, d.logprob, d.fragments) for d in first])
+    fresh = nbest(toy_model, words)
+    assert ([(d.bracketed, d.logprob, d.fragments) for d in every]
+            == [(d.bracketed, d.logprob, d.fragments) for d in fresh])
+    # asked past their last derivation, the start items are marked done
+    assert all(item.cand is None for item in chart.start_items)
+
+
+def test_parse_leaves_no_reference_cycles(toy_treebank, toy_model):
+    # the premise of parsing each sentence with the collector paused:
+    # reference counting alone frees a parse's chart and derivations
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    parser = SentenceParser(toy_model, n_best=1000, prune_ratio=1e-300)
+    # "sam" is out of vocabulary
+    sentences = [s.split() for s in ("john likes mary", "sam likes mary",
+                                     "peter hates susan")]
+    gc.collect()
+    gc.disable()
+    try:
+        results = [parser.parse(words) for words in sentences]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(result is not None for result in results)
 
 
 def test_nbest_first_is_viterbi_best(toy_model):

@@ -4,6 +4,7 @@ import pytest
 
 from dop import (Site, Tree, TreeReadError, constituents, normalize,
                  normalize_treebank, read_treebank, read_trees, write_tree)
+from dop.tree import strip_label
 from conftest import random_tree, unary_chain_model
 
 
@@ -81,6 +82,42 @@ def test_deep_unary_chain_treebank():
     nodes = list(bank.trees[0].subtrees())
     assert [node.label for node in nodes] == ["X%d" % i for i in range(3000)]
     assert bank.vocabulary == {"w": 1}
+
+
+def test_deep_unary_chain_depth_and_normalize():
+    key, _ = unary_chain_model(3000)
+    tree = read_trees(key.replace("(X1 ", "(X1-SBJ "))[0]
+    assert tree.depth() == 3000
+    normalized = normalize(tree)
+    assert ([node.label for node in normalized.subtrees()]
+            == ["X%d" % i for i in range(3000)])
+    assert normalized.leaves() == ["w"] and normalized.depth() == 3000
+
+
+def _normalize_spec(tree):
+    # the definition, as a recursion: children first, empty nodes dropped
+    if tree.is_preterminal:
+        if tree.label in ("-NONE-", "''", "``"):
+            return None
+        return Tree(strip_label(tree.label), tree.children)
+    children = [c for c in map(_normalize_spec, tree.children) if c]
+    return Tree(strip_label(tree.label), children) if children else None
+
+
+def test_normalize_matches_recursive_definition_on_random_trees():
+    rng = random.Random(11)
+    labels = ("S", "NP-SBJ", "VP=2", "-NONE-", "''", "PP-LOC-1", "X")
+
+    # relabeled at random, so that deletions and suffixes occur
+    def relabel(node):
+        children = node.children
+        if not node.is_preterminal:
+            children = [relabel(child) for child in children]
+        return Tree(rng.choice(labels), children)
+
+    for _ in range(300):
+        tree = relabel(random_tree(rng, max_internal=20, max_depth=6))
+        assert normalize(tree) == _normalize_spec(tree)
 
 
 def test_subtrees_and_depth_of_fragment_structure():
