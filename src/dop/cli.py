@@ -15,7 +15,8 @@ import time
 from collections import Counter
 
 from .fragments import (FragmentOverflowError, RestrictionSet, SamplingError,
-                        depth1_fragment, extract_treebank, sample_fragments)
+                        depth1_fragment, depth1_key, extract_treebank,
+                        sample_fragments)
 from .heads import HeadRuleTable, default_head_rules
 from .model import (GrammarError, build_model, good_turing_adjust,
                     train_unknown_model)
@@ -230,15 +231,23 @@ def collect_fragments(treebank, restriction, seed, cache=None, digest=""):
 
     key = (digest, 1)
     if key not in cache:
-        depth1 = Counter()
-        for tree in treebank.trees:
-            for node in tree.subtrees():
-                depth1[depth1_fragment(node)] += 1
-        cache[key] = depth1
+        # keys are counted per node; a Fragment is built once per type
+        counts = {}
+        types = []
+        for nodes in treebank.nodes:
+            for node in nodes:
+                text = depth1_key(node)
+                seen = counts.get(text)
+                if seen is None:
+                    types.append(depth1_fragment(node))
+                    counts[text] = 1
+                else:
+                    counts[text] = seen + 1
+        cache[key] = Counter(dict(zip(types, counts.values())))
     fragments.update(cache[key])
     depth_counts[1] = sum(cache[key].values())
 
-    corpus_max = max(tree.depth() for tree in treebank.trees)
+    corpus_max = max(heights[0] for heights in treebank.heights)
     top = corpus_max if restriction.max_depth is None else min(
         restriction.max_depth, corpus_max)
     for depth in range(2, top + 1):
@@ -282,11 +291,13 @@ def cmd_train(args) -> int:
         treebank = _read_normalized_treebank(args.train)
         model, depth_counts = _train_model(treebank, options.restriction(),
                                            options)
+        # the trees and their cached node lists go before the write's peak
+        del treebank
         write_model(model, args.model)
         entries, roots = len(model.entries), len(model.root_totals)
         # the first collection after the pause would scan every object
-        # made during it that is still alive: drop the big ones first
-        del treebank, model
+        # made during it that is still alive: drop the model first
+        del model
     for depth in sorted(depth_counts):
         print("depth %d: %d fragment tokens" % (depth, depth_counts[depth]))
     print("model: %d fragments over %d roots -> %s"
@@ -409,8 +420,10 @@ def cmd_experiment(args) -> int:
     workers = options.integer("workers")
 
     os.makedirs(args.out, exist_ok=True)
-    treebank = _read_normalized_treebank(args.train)
-    gold = _read_normalized_treebank(args.test)
+    # trees hold no reference cycles (see cmd_train)
+    with collector_paused():
+        treebank = _read_normalized_treebank(args.train)
+        gold = _read_normalized_treebank(args.test)
     sentences = [tree.leaves() for tree in gold.trees]
     with open(args.train, "rb") as handle:
         digest = hashlib.sha256(handle.read()).hexdigest()

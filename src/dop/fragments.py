@@ -50,9 +50,14 @@ class Fragment:
     def from_string(cls, key: str) -> "Fragment":
         """Read a key in any spacing; the fragment's key is the canonical form."""
         structure, frontier, canonical = _read_key(key)
+        return cls._keyed(structure, canonical, frontier)
+
+    @classmethod
+    def _keyed(cls, structure, key, frontier=None):
+        # `key` must be write_tree(structure)
         fragment = object.__new__(cls)
         object.__setattr__(fragment, "structure", structure)
-        object.__setattr__(fragment, "key", canonical)
+        object.__setattr__(fragment, "key", key)
         object.__setattr__(fragment, "_depth", None)
         object.__setattr__(fragment, "_frontier", frontier)
         return fragment
@@ -183,6 +188,15 @@ def depth1_fragment(node: Tree) -> Fragment:
     return Fragment(Tree(node.label, children))
 
 
+def depth1_key(node: Tree) -> str:
+    """`depth1_fragment(node).key`, written straight from the node."""
+    children = node.children
+    if isinstance(children[0], str):
+        return "(%s %s)" % (node.label, children[0])
+    return "(%s %s)" % (node.label,
+                        " ".join(["(%s)" % child.label for child in children]))
+
+
 def extract_all(tree: Tree, cap: int = 10**6) -> Counter:
     """Every fragment of the tree, with one count per (root node, cut).
 
@@ -253,52 +267,68 @@ def sample_fragments(treebank: Treebank, depth: int, count: int,
         raise ValueError("count must be >= 1")
     if not treebank.trees:
         raise SamplingError("empty treebank")
-    rng = random.Random(seed)
-    node_lists = [list(t.subtrees()) for t in treebank.trees]
-    height_lists = [_heights(nodes) for nodes in node_lists]
+    node_lists = treebank.nodes
+    height_lists = treebank.heights
     if max(heights[0] for heights in height_lists) < depth:
         raise SamplingError("no node in the treebank reaches depth %d" % depth)
 
-    result = Counter()
+    # Each uniform index below is rng.randrange(n) written out as the
+    # getrandbits loop of Random._randbelow_with_getrandbits, which
+    # randrange runs for n >= 1 on Python 3.10-3.13: the same stream,
+    # without two calls per draw.
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    n_trees = len(node_lists)
+    tree_bits = n_trees.bit_length()
+    draw_lists = [(heights, len(heights), len(heights).bit_length())
+                  for heights in height_lists]
+    counts = {}              # canonical key -> draws
+    types = []               # one Fragment per key, in first-drawn order
     produced = 0
     while produced < count:
-        ti = rng.randrange(len(node_lists))
-        nodes = node_lists[ti]
-        ni = rng.randrange(len(nodes))
-        if height_lists[ti][ni] < depth:
+        ti = getrandbits(tree_bits)
+        while ti >= n_trees:
+            ti = getrandbits(tree_bits)
+        heights, n_nodes, node_bits = draw_lists[ti]
+        ni = getrandbits(node_bits)
+        while ni >= n_nodes:
+            ni = getrandbits(node_bits)
+        if heights[ni] < depth:
             continue
-        result[_grow(nodes[ni], depth, rng)] += 1
+        top = _grow(node_lists[ti][ni], depth, rng)
+        key = _site_key(top)
+        drawn = counts.get(key)
+        if drawn is None:
+            fragment = Fragment._keyed(_freeze(top), key)
+            # equal keys are equal structures: one check covers every draw
+            assert fragment.depth == depth
+            types.append(fragment)
+            counts[key] = 1
+        else:
+            counts[key] = drawn + 1
         produced += 1
-    return result
+    return Counter(dict(zip(types, counts.values())))
 
 
-def _heights(nodes):
-    """`Tree.depth` of each node of a preorder list, in one bottom-up pass.
+def _grow(root: Tree, target: int, rng: random.Random) -> list:
+    """Grow a fragment of `target` levels at `root`; its top site record.
 
-    Walked backwards, a preorder list meets each node right after the
-    subtrees of all its children, so their heights are on top of the stack.
+    A site record is [corpus node, depth, children once expanded].
     """
-    heights = [0] * len(nodes)
-    stack = []
-    for i in range(len(nodes) - 1, -1, -1):
-        best = 0
-        for child in nodes[i].children:
-            if isinstance(child, Tree):
-                best = max(best, stack.pop())
-        heights[i] = best + 1
-        stack.append(best + 1)
-    return heights
-
-
-def _grow(root: Tree, target: int, rng: random.Random) -> Fragment:
-    # a site is [corpus node, depth, children once expanded]
+    getrandbits = rng.getrandbits
     top = [root, 0, None]
-    open_sites = _expand(top)
+    open_sites = list(_expand(top))
     cur_depth = 1
 
-    # grow until the target depth is reached
+    # grow until the target depth is reached; the site index is
+    # rng.randrange(len(open_sites)) inlined, as in sample_fragments
     while cur_depth < target:
-        site = open_sites.pop(rng.randrange(len(open_sites)))
+        n = len(open_sites)
+        bits = n.bit_length()
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
+        site = open_sites.pop(i)
         open_sites.extend(_expand(site))
         cur_depth = max(cur_depth, site[1] + 1)
 
@@ -309,28 +339,44 @@ def _grow(root: Tree, target: int, rng: random.Random) -> Fragment:
         site = queue.popleft()
         if site[1] < target and rng.random() < 0.5:
             queue.extend(_expand(site))
-
-    fragment = Fragment(_freeze(top))
-    assert fragment.depth == target
-    return fragment
+    return top
 
 
 def _expand(site):
-    """Give the site its children, words and new sites; return the sites."""
+    """Give the site its children; return its new site records.
+
+    A corpus node's children are one word or all nodes, so an expanded
+    site's children are the node's word tuple or a list of site records.
+    The list returned is that list itself, so callers must not change it.
+    """
     node, site_depth, _ = site
-    children = [child if isinstance(child, str)
-                else [child, site_depth + 1, None]
-                for child in node.children]
-    site[2] = children
-    return [child for child in children if not isinstance(child, str)]
+    children = node.children
+    if isinstance(children[0], str):
+        site[2] = children
+        return ()
+    depth = site_depth + 1
+    site[2] = sites = [[child, depth, None] for child in children]
+    return sites
 
 
 def _freeze(site):
     node, _, children = site
     if children is None:
         return Site(node.label)
-    return Tree(node.label, [child if isinstance(child, str) else _freeze(child)
-                             for child in children])
+    if isinstance(children[0], str):
+        return Tree(node.label, children)
+    return Tree(node.label, [_freeze(child) for child in children])
+
+
+def _site_key(site):
+    """write_tree(_freeze(site)), written straight from the site record."""
+    node, _, children = site
+    if children is None:
+        return "(%s)" % node.label
+    if isinstance(children[0], str):
+        return "(%s %s)" % (node.label, children[0])
+    return "(%s %s)" % (node.label,
+                        " ".join([_site_key(child) for child in children]))
 
 
 def headword(fragment: Fragment, rules: HeadRuleTable) -> str | None:

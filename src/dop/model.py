@@ -216,8 +216,8 @@ def train_unknown_model(treebank: Treebank, threshold: int) -> UnknownWordModel:
     full_stats = defaultdict(Counter)
     suffix_stats = defaultdict(Counter)
     open_class = set()
-    for tree in treebank.trees:
-        for node in tree.subtrees():
+    for nodes in treebank.nodes:
+        for node in nodes:
             if not node.is_preterminal:
                 continue
             word = node.word

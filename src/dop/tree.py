@@ -8,7 +8,8 @@ are trees whose frontier may also hold `Site` substitution markers.
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class TreeReadError(ValueError):
@@ -127,21 +128,53 @@ class Tree:
 
 @dataclass(frozen=True)
 class Treebank:
-    """An ordered tree collection with its vocabulary."""
+    """An ordered tree collection.
+
+    Its vocabulary, preorder node lists and node heights are computed on
+    first use and kept, so training walks the trees once.
+    """
 
     trees: tuple
-    vocabulary: Counter = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def nodes(self) -> tuple:
+        """Each tree's `subtrees()` as a list."""
+        return tuple(list(tree.subtrees()) for tree in self.trees)
+
+    @cached_property
+    def heights(self) -> tuple:
+        """`Tree.depth` of each node in `nodes`, one list per tree."""
+        return tuple(_heights(nodes) for nodes in self.nodes)
+
+    @cached_property
+    def vocabulary(self) -> Counter:
         vocab = Counter()
-        for tree in self.trees:
-            for node in tree.subtrees():
+        for nodes in self.nodes:
+            for node in nodes:
                 if node.is_preterminal:
                     vocab[node.word] += 1
-        object.__setattr__(self, "vocabulary", vocab)
+        return vocab
 
     def __len__(self):
         return len(self.trees)
+
+
+def _heights(nodes):
+    """`Tree.depth` of each node of a preorder list, in one bottom-up pass.
+
+    Walked backwards, a preorder list meets each node right after the
+    subtrees of all its children, so their heights are on top of the stack.
+    """
+    heights = [0] * len(nodes)
+    stack = []
+    for i in range(len(nodes) - 1, -1, -1):
+        best = 0
+        for child in nodes[i].children:
+            if isinstance(child, Tree):
+                best = max(best, stack.pop())
+        heights[i] = best + 1
+        stack.append(best + 1)
+    return heights
 
 
 # a bracket, or a run of anything else that is not whitespace; `\s` is
@@ -307,18 +340,23 @@ def constituents(tree: Tree, exclude_root: bool = False) -> Counter:
     their multiplicity.
     """
     spans = Counter()
-
-    def walk(node, start):
-        if node.is_preterminal:
-            return start + 1
-        end = start
-        for child in node.children:
-            end = walk(child, end)
-        spans[(node.label, start, end)] += 1
-        return end
-
-    walk(tree, 0)
+    # a stack of (label, start, child iterator) frames: each node's span is
+    # counted when its last child is done, in the order a recursion would
+    end = 0
+    stack = [] if tree.is_preterminal else [(tree.label, 0,
+                                             iter(tree.children))]
+    while stack:
+        label, start, children = stack[-1]
+        for child in children:
+            if child.is_preterminal:
+                end += 1
+            else:
+                stack.append((child.label, end, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            spans[(label, start, end)] += 1
     if exclude_root and not tree.is_preterminal:
-        spans[(tree.label, 0, len(tree.leaves()))] -= 1
+        spans[(tree.label, 0, end)] -= 1
         spans = +spans
     return spans

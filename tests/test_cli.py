@@ -114,6 +114,17 @@ def test_train_deep_unary_chain(tmp_path, capsys):
     assert "depth 3: 10 fragment tokens" in out
 
 
+def test_score_deep_unary_chain(tmp_path, capsys):
+    # constituents walks the 3000 levels without recursing
+    key, _ = unary_chain_model(3000)
+    chain = tmp_path / "chain.mrg"
+    chain.write_text(key + "\n")
+    code = main(["score", "--proposed", str(chain), "--gold", str(chain)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "LP 100.00" in out and "LR 100.00" in out
+
+
 def test_parse_empty_input(toy_paths, tmp_path):
     _, model_path = toy_paths
     sents = tmp_path / "empty.txt"
@@ -533,6 +544,31 @@ def test_train_and_parse_run_with_collector_paused(toy_paths, tmp_path,
     assert main(["parse", "--model", str(model_path), "--input", str(sents),
                  "--output", str(tmp_path / "out.txt")]) == 0
     assert enabled == [("parse", False)] * 2
+    assert gc.isenabled()
+
+
+def test_experiment_reads_treebanks_with_collector_paused(tmp_path, capsys,
+                                                         monkeypatch):
+    import dop.cli
+    train = tmp_path / "train.mrg"
+    test = tmp_path / "test.mrg"
+    train.write_text(write_treebank(synthetic_treebank(20, seed=11)))
+    test.write_text(write_treebank(synthetic_treebank(3, seed=99)))
+    enabled = []
+
+    def recording(name, function):
+        def record(*args, **kwargs):
+            enabled.append((name, gc.isenabled()))
+            return function(*args, **kwargs)
+        monkeypatch.setattr(dop.cli, name, record)
+
+    for name in ("read_treebank", "normalize_treebank"):
+        recording(name, getattr(dop.cli, name))
+    assert gc.isenabled()
+    assert main(["experiment", "--train", str(train), "--test", str(test),
+                 "--sweep", "depth", "--values", "1", "--sample-per-depth",
+                 "20", "--out", str(tmp_path / "exp")]) == 0
+    assert enabled == [("read_treebank", False), ("normalize_treebank", False)] * 2
     assert gc.isenabled()
 
 

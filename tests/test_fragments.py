@@ -9,8 +9,8 @@ from dop import (Fragment, FragmentOverflowError, RestrictionSet,
                  SamplingError, Site, Tree, depth1_fragment, extract_all,
                  extract_treebank, headword, nonheadword_count, passes,
                  Treebank, read_trees, sample_fragments, write_tree)
-from dop.fragments import _heights
-from conftest import TOY_HEAD_RULES, random_tree
+from dop.fragments import depth1_key
+from conftest import TOY_HEAD_RULES, random_tree, unary_chain_model
 
 
 def subset_enumeration_fragments(tree):
@@ -136,10 +136,103 @@ def test_sample_rare_depth_takes_as_many_restarts_as_needed():
 
 
 def test_height_lists_match_tree_depth():
+    # the lists the sampler, the depth-1 pass and the unknown-word model read
     rng = random.Random(5)
-    for _ in range(40):
-        nodes = list(random_tree(rng, max_internal=30, max_depth=7).subtrees())
-        assert _heights(nodes) == [node.depth() for node in nodes]
+    trees = tuple(random_tree(rng, max_internal=30, max_depth=7)
+                  for _ in range(40))
+    bank = Treebank(trees)
+    assert bank.nodes == tuple(list(tree.subtrees()) for tree in trees)
+    assert bank.heights == tuple([node.depth() for node in tree.subtrees()]
+                                 for tree in trees)
+    assert bank.nodes is bank.nodes and bank.heights is bank.heights
+
+    # node.depth() is quadratic down a chain: check every 250th node
+    chain = read_trees(unary_chain_model(3000)[0])[0]
+    bank = Treebank((chain,))
+    assert bank.nodes == (list(chain.subtrees()),)
+    assert bank.heights == (list(range(3000, 0, -1)),)
+    assert all(bank.heights[0][i] == bank.nodes[0][i].depth()
+               for i in range(0, 3000, 250))
+
+
+def _inlined_randrange(rng, n):
+    # the uniform draw that sample_fragments and _grow write out inline
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
+def test_inlined_draw_is_randrange():
+    sizes = list(range(1, 301)) + [2 ** k + d for k in range(2, 41)
+                                   for d in (-1, 0, 1)]
+    for seed in (1, 2, 97):
+        inlined, reference = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            for _ in range(3):
+                assert _inlined_randrange(inlined, n) == reference.randrange(n)
+            assert inlined.getstate() == reference.getstate()
+
+
+def _sample_reference(treebank, depth, count, seed):
+    # the reference: randrange for every draw, a Fragment per draw
+    rng = random.Random(seed)
+    node_lists = [list(tree.subtrees()) for tree in treebank.trees]
+    result = Counter()
+    while sum(result.values()) < count:
+        nodes = node_lists[rng.randrange(len(node_lists))]
+        node = nodes[rng.randrange(len(nodes))]
+        if node.depth() < depth:
+            continue
+        top = [node, 0, None]
+        open_sites = _expand_reference(top)
+        reached = 1
+        while reached < depth:
+            site = open_sites.pop(rng.randrange(len(open_sites)))
+            open_sites.extend(_expand_reference(site))
+            reached = max(reached, site[1] + 1)
+        queue = list(open_sites)
+        while queue:
+            site = queue.pop(0)
+            if site[1] < depth and rng.random() < 0.5:
+                queue.extend(_expand_reference(site))
+        result[Fragment(_freeze_reference(top))] += 1
+    return result
+
+
+def _expand_reference(site):
+    # a site record is [corpus node, depth, children once expanded]
+    node, site_depth, _ = site
+    children = [child if isinstance(child, str)
+                else [child, site_depth + 1, None]
+                for child in node.children]
+    site[2] = children
+    return [child for child in children if not isinstance(child, str)]
+
+
+def _freeze_reference(site):
+    node, _, children = site
+    if children is None:
+        return Site(node.label)
+    return Tree(node.label, [child if isinstance(child, str)
+                             else _freeze_reference(child)
+                             for child in children])
+
+
+def test_sample_matches_randrange_reference_on_random_banks():
+    rng = random.Random(31)
+    # bank sizes around powers of two make the tree draw reject often
+    for n_trees in (1, 3, 7, 8, 9, 33):
+        bank = Treebank(tuple(random_tree(rng, max_internal=20, max_depth=6)
+                              for _ in range(n_trees)))
+        top = max(tree.depth() for tree in bank.trees)
+        for depth in range(2, top + 1):
+            got = sample_fragments(bank, depth, 60, seed=depth)
+            want = _sample_reference(bank, depth, 60, seed=depth)
+            assert list(got.items()) == list(want.items())
+            assert all(fragment.depth == depth for fragment in got)
 
 
 def test_sample_rejects_depth_one(toy_treebank):
@@ -296,6 +389,11 @@ def test_depth1_fragment_is_single_level():
         "(S (NP) (VP))", "(NP john)", "(VP (V) (NP))", "(V likes)",
         "(NP mary)"]
     assert all(f.depth == 1 for f in tops)
+    # the depth-1 pass counts keys written straight from the node
+    rng = random.Random(8)
+    for _ in range(30):
+        for node in random_tree(rng).subtrees():
+            assert depth1_key(node) == depth1_fragment(node).key
 
 
 def test_restriction_validation():

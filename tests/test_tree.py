@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -200,6 +201,37 @@ def test_constituents_count_matches_internal_nodes():
         tree = random_tree(rng)
         expected = sum(1 for node in tree.subtrees() if not node.is_preterminal)
         assert sum(constituents(tree).values()) == expected
+
+
+def _constituents_spec(tree, exclude_root=False):
+    # the definition, as a recursion: each internal node's span after its
+    # children's
+    spans = Counter()
+
+    def walk(node, start):
+        if node.is_preterminal:
+            return start + 1
+        end = start
+        for child in node.children:
+            end = walk(child, end)
+        spans[(node.label, start, end)] += 1
+        return end
+
+    walk(tree, 0)
+    if exclude_root and not tree.is_preterminal:
+        spans[(tree.label, 0, len(tree.leaves()))] -= 1
+        spans = +spans
+    return spans
+
+
+def test_constituents_match_recursive_definition_on_random_trees():
+    rng = random.Random(19)
+    for _ in range(300):
+        tree = random_tree(rng, max_internal=25, max_depth=7)
+        for exclude_root in (False, True):
+            got = constituents(tree, exclude_root=exclude_root)
+            want = _constituents_spec(tree, exclude_root=exclude_root)
+            assert list(got.items()) == list(want.items())
 
 
 def test_constituents_exclude_root():
