@@ -6,8 +6,8 @@ file of key=value lines; explicit command-line values win.
 """
 
 import argparse
+import dataclasses
 import gc
-import hashlib
 import multiprocessing
 import os
 import sys
@@ -47,6 +47,9 @@ _DEFAULTS = {
     "cap": "1000000",
 }
 
+# what _Options reads: the defaults, and the head-rule file
+_CONFIG_KEYS = frozenset(_DEFAULTS) | {"head_rules"}
+
 _SWEEP_FIELDS = {
     "depth": "max_depth",
     "frontier-words": "max_frontier_words",
@@ -71,12 +74,16 @@ def _bound(text):
 def _read_config(path):
     values = {}
     with open(path, encoding="utf8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            text, equals, value = line.partition("=")
+            key = text.strip().replace("-", "_")
+            if not equals or key not in _CONFIG_KEYS:
+                raise ValueError("%s line %d: %r is not key=value with a "
+                                 "known key" % (path, lineno, text.strip()))
+            values[key] = value.strip()
     return values
 
 
@@ -206,14 +213,15 @@ def _read_normalized_treebank(path):
     return normalized
 
 
-def collect_fragments(treebank, restriction, seed, cache=None, digest=""):
+def collect_fragments(treebank, restriction, seed, cache=None):
     """Fragment multiset per the training recipe, plus per-depth tallies.
 
     Depth-1 rewrites are always exhaustive. With a sample_per_depth bound,
     each deeper level up to max_depth (clipped to the deepest tree) gets
     its own random sample; without one, extraction is exhaustive at every
-    depth. The cache, when given, is keyed by treebank digest, depth, seed
-    and sample size so sweeps reuse extractions across grid points.
+    depth. The cache, when given, is keyed by depth (or "exhaustive") so
+    sweeps reuse extractions across grid points; it must only ever see
+    this treebank, seed and sample size.
     """
     if cache is None:
         cache = {}
@@ -221,16 +229,14 @@ def collect_fragments(treebank, restriction, seed, cache=None, digest=""):
     fragments = Counter()
     depth_counts = Counter()
     if per_depth is None:
-        key = (digest, "exhaustive")
-        if key not in cache:
-            cache[key] = extract_treebank(treebank)
-        fragments.update(cache[key])
+        if "exhaustive" not in cache:
+            cache["exhaustive"] = extract_treebank(treebank)
+        fragments.update(cache["exhaustive"])
         for fragment, count in fragments.items():
             depth_counts[fragment.depth] += count
         return fragments, dict(depth_counts)
 
-    key = (digest, 1)
-    if key not in cache:
+    if 1 not in cache:
         # keys are counted per node; a Fragment is built once per type
         counts = {}
         types = []
@@ -243,32 +249,31 @@ def collect_fragments(treebank, restriction, seed, cache=None, digest=""):
                     counts[text] = 1
                 else:
                     counts[text] = seen + 1
-        cache[key] = Counter(dict(zip(types, counts.values())))
-    fragments.update(cache[key])
-    depth_counts[1] = sum(cache[key].values())
+        cache[1] = Counter(dict(zip(types, counts.values())))
+    fragments.update(cache[1])
+    depth_counts[1] = sum(cache[1].values())
 
     corpus_max = max(heights[0] for heights in treebank.heights)
     top = corpus_max if restriction.max_depth is None else min(
         restriction.max_depth, corpus_max)
     for depth in range(2, top + 1):
-        key = (digest, depth, seed, per_depth)
-        if key not in cache:
-            cache[key] = sample_fragments(treebank, depth, per_depth,
-                                          seed + depth)
-        fragments.update(cache[key])
-        depth_counts[depth] = sum(cache[key].values())
+        if depth not in cache:
+            cache[depth] = sample_fragments(treebank, depth, per_depth,
+                                            seed + depth)
+        fragments.update(cache[depth])
+        depth_counts[depth] = sum(cache[depth].values())
     return fragments, dict(depth_counts)
 
 
-def _train_model(treebank, restriction, options, cache=None, digest=""):
+def _train_model(treebank, restriction, options, cache=None):
     # Training makes no reference cycles (see cmd_train), so the cycle
     # collector is paused here too: an experiment grid point trains
     # through this function alone.
     with collector_paused():
         rules = _load_head_rules(options)
         seed = options.integer("seed")
-        fragments, depth_counts = collect_fragments(
-            treebank, restriction, seed, cache=cache, digest=digest)
+        fragments, depth_counts = collect_fragments(treebank, restriction,
+                                                    seed, cache=cache)
         start_labels = frozenset(tree.label for tree in treebank.trees)
         model = build_model(fragments, restriction, rules,
                             start_labels=start_labels)
@@ -323,17 +328,13 @@ def _read_sentences(path):
 _WORKER_STATE = {}
 
 
-def _worker_init(model, n_best, prune_ratio):
-    # The parser's indexes form no cycles: the collector stays off while
-    # they are built, as in load_model. The model and the indexes outlive
-    # every sentence. Frozen, they are left out of the cycle collector's
-    # collections, which would otherwise re-scan them every few sentences
-    # (a pause that grows with the model and lands on whichever sentence
-    # is parsing).
-    with collector_paused():
-        _WORKER_STATE["parser"] = SentenceParser(model, n_best=n_best,
-                                                 prune_ratio=prune_ratio)
-        gc.freeze()
+def _worker_init(parser):
+    # The model and the parser's indexes outlive every sentence. Frozen,
+    # they are left out of the cycle collector's collections, which would
+    # otherwise re-scan them every few sentences (a pause that grows with
+    # the model and lands on whichever sentence is parsing).
+    _WORKER_STATE["parser"] = parser
+    gc.freeze()
 
 
 def _worker_parse(words):
@@ -353,11 +354,16 @@ def _worker_parse(words):
 
 def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
     """[(bracketed-or-None, probability, derivations, seconds)] in order."""
+    # Built before any worker starts, so that a bad setting fails the
+    # command once. Its indexes form no cycles: the collector stays off
+    # while they are built, as in load_model.
+    with collector_paused():
+        parser = SentenceParser(model, n_best=n_best, prune_ratio=prune_ratio)
     if workers > 1 and len(sentences) > 1:
         with multiprocessing.Pool(workers, initializer=_worker_init,
-                                  initargs=(model, n_best, prune_ratio)) as pool:
+                                  initargs=(parser,)) as pool:
             return pool.map(_worker_parse, sentences)
-    _worker_init(model, n_best, prune_ratio)
+    _worker_init(parser)
     try:
         return [_worker_parse(words) for words in sentences]
     finally:
@@ -403,12 +409,7 @@ def cmd_experiment(args) -> int:
     grid = []
     for raw in args.values.split(","):
         raw = raw.strip()
-        bound = _bound(raw)
-        restriction = RestrictionSet(**{
-            name: bound if name == field else getattr(base, name)
-            for name in ("max_depth", "max_frontier_words", "max_unlex_depth",
-                         "max_nonheadwords", "sample_per_depth")})
-        grid.append((raw, restriction))
+        grid.append((raw, dataclasses.replace(base, **{field: _bound(raw)})))
     # a bad option fails the command here, not every grid point
     options.smoothing()
     options.integer("seed")
@@ -417,6 +418,8 @@ def cmd_experiment(args) -> int:
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
     prune_ratio = options.floating("prune_ratio")
+    if not 0.0 < prune_ratio <= 1.0:
+        raise ValueError("prune_ratio must be in (0, 1]")
     workers = options.integer("workers")
 
     os.makedirs(args.out, exist_ok=True)
@@ -425,8 +428,6 @@ def cmd_experiment(args) -> int:
         treebank = _read_normalized_treebank(args.train)
         gold = _read_normalized_treebank(args.test)
     sentences = [tree.leaves() for tree in gold.trees]
-    with open(args.train, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
 
     cache = {}
     table = ["bound\tLP\tLR\tseconds"]
@@ -434,7 +435,7 @@ def cmd_experiment(args) -> int:
         started = time.perf_counter()
         try:
             model, _ = _train_model(treebank, restriction, options,
-                                    cache=cache, digest=digest)
+                                    cache=cache)
             print("grid %s: %d fragment types kept" % (bound, len(model.entries)),
                   file=sys.stderr)
             write_model(model, os.path.join(args.out,

@@ -80,61 +80,24 @@ def _log(probability) -> float:
     return math.log(p.numerator) - math.log(p.denominator)
 
 
+def _rule(fragment, probability, index) -> IndexedRule:
+    return IndexedRule(lhs=fragment.root, rhs=fragment.frontier,
+                       fragment=fragment, logprob=_log(probability),
+                       index=index)
+
+
 def to_rules(model: FragmentModel) -> list:
     """One rule per model entry, in deterministic (root, key) order."""
-    rules = []
-    for key in sorted(model.entries, key=lambda k: (model.entries[k].fragment.root, k)):
-        entry = model.entries[key]
-        fragment = entry.fragment
-        rules.append(IndexedRule(
-            lhs=fragment.root, rhs=fragment.frontier, fragment=fragment,
-            logprob=_log(entry.probability), index=len(rules)))
-    return rules
+    entries = model.entries
+    keys = sorted(entries, key=lambda k: (entries[k].fragment.root, k))
+    return [_rule(entries[key].fragment, entries[key].probability, index)
+            for index, key in enumerate(keys)]
 
 
 def _symbol(rhs_element):
     if isinstance(rhs_element, Site):
         return ("n", rhs_element.label)
     return ("w", rhs_element)
-
-
-class _Grammar:
-    """Prefix trie over rule right-hand sides, with completions per node."""
-
-    def __init__(self, rules):
-        self.first_step = {}          # symbol -> trie node
-        # symbol -> {trie node: next trie node}: the steps that read the
-        # symbol after the first rhs position
-        self.steps_on = {}
-        self.completions = defaultdict(list)   # trie node -> [(lhs, rule)]
-        unary_edges = defaultdict(set)
-        counter = 0
-        for rule in rules:
-            node = None
-            for i, element in enumerate(rule.rhs):
-                sym = _symbol(element)
-                if i == 0:
-                    node = self.first_step.get(sym)
-                    if node is None:
-                        node = self.first_step[sym] = counter
-                        counter += 1
-                else:
-                    steps = self.steps_on.setdefault(sym, {})
-                    node = steps.get(prev)
-                    if node is None:
-                        node = steps[prev] = counter
-                        counter += 1
-                prev = node
-            self.completions[node].append((rule.lhs, rule))
-            if len(rule.rhs) == 1 and isinstance(rule.rhs[0], Site):
-                unary_edges[rule.lhs].add(rule.rhs[0].label)
-        self.unary_cycle = _find_cycle(unary_edges)
-
-    def unary_completions(self, sym):
-        node = self.first_step.get(sym)
-        if node is None:
-            return ()
-        return self.completions.get(node, ())
 
 
 def _find_cycle(edges):
@@ -234,13 +197,14 @@ class ChartParser:
     start_labels. prune_ratio follows the per-span threshold convention: after a span's
     items are complete, any real (non-dotted) item whose prior-weighted
     score is below prune_ratio times the span's best is dropped.
+    Rules are matched through a prefix trie over their right-hand sides,
+    built here; unary_cycle is a label on a cycle of unary rules, or None.
     """
 
     def __init__(self, rules, start_labels, priors=None, prune_ratio=1e-5):
         if not 0.0 < prune_ratio <= 1.0:
             raise ValueError("prune_ratio must be in (0, 1]")
         self.rules = list(rules)
-        self.grammar = _Grammar(self.rules)
         self.prune_ratio = prune_ratio
         priors = priors or {}
         self._log_priors = {label: _log(p) for label, p in priors.items()
@@ -249,16 +213,45 @@ class ChartParser:
                                    if self._log_priors else 0.0)
         self.start_labels = tuple(sorted(start_labels))
 
+        # the prefix trie over rule right-hand sides
+        self.first_step = {}          # symbol -> trie node
+        # symbol -> {trie node: next trie node}: the steps that read the
+        # symbol after the first rhs position
+        self.steps_on = {}
+        self.completions = defaultdict(list)   # trie node -> [(lhs, rule)]
+        unary_edges = defaultdict(set)
+        counter = 0
+        for rule in self.rules:
+            node = None
+            for i, element in enumerate(rule.rhs):
+                sym = _symbol(element)
+                if i == 0:
+                    node = self.first_step.get(sym)
+                    if node is None:
+                        node = self.first_step[sym] = counter
+                        counter += 1
+                else:
+                    steps = self.steps_on.setdefault(sym, {})
+                    node = steps.get(prev)
+                    if node is None:
+                        node = steps[prev] = counter
+                        counter += 1
+                prev = node
+            self.completions[node].append((rule.lhs, rule))
+            if len(rule.rhs) == 1 and isinstance(rule.rhs[0], Site):
+                unary_edges[rule.lhs].add(rule.rhs[0].label)
+        self.unary_cycle = _find_cycle(unary_edges)
+
     def _log_prior(self, label):
         return self._log_priors.get(label, self._default_log_prior)
 
     def chart(self, sentence, extra_rules=()) -> Chart:
         sentence = tuple(sentence)
-        extra_lexical = defaultdict(list)
+        extra = defaultdict(list)      # word -> the extra rules that read it
         for rule in extra_rules:
             if len(rule.rhs) != 1 or isinstance(rule.rhs[0], Site):
                 raise ValueError("extra rules must be lexical depth-1 rules")
-            extra_lexical[("w", rule.rhs[0])].append((rule.lhs, rule))
+            extra[rule.rhs[0]].append(rule)
 
         n = len(sentence)
         cells = {}
@@ -273,13 +266,17 @@ class ChartParser:
                 cell = {}
                 cells[span] = cell
                 if width == 1:
-                    word_item = ChartItem(("w", sentence[start]), span)
+                    word = sentence[start]
+                    word_item = ChartItem(("w", word), span)
                     word_item.inside = 0.0
                     cell[word_item.sym] = word_item
+                    for rule in extra.get(word, ()):
+                        self._add_completion(cell, span, rule.lhs, rule,
+                                             word_item)
                 else:
                     self._binary_phase(heads, tails, span, cell)
                 self._complete_prefixes(cell, span)
-                self._unary_closure(cell, span, extra_lexical)
+                self._unary_closure(cell, span)
                 self._prune(cell)
                 heads[span], tails[span] = self._partners(cell)
 
@@ -292,7 +289,7 @@ class ChartParser:
                     start_items.append(item)
             start_items.sort(key=lambda it: (-it.inside, it.label))
         return Chart(sentence, cells, start_items,
-                     unary_cycle=self.grammar.unary_cycle)
+                     unary_cycle=self.unary_cycle)
 
     def _partners(self, cell):
         """(heads, tails) of a finished cell, both in cell order.
@@ -301,8 +298,8 @@ class ChartParser:
         (steps, item) for complete items whose symbol some step reads,
         steps being that symbol's {trie node: next trie node}.
         """
-        first = self.grammar.first_step
-        steps_on = self.grammar.steps_on
+        first = self.first_step
+        steps_on = self.steps_on
         heads = []
         tails = []
         for sym, item in cell.items():
@@ -342,7 +339,7 @@ class ChartParser:
         # rules whose full rhs was matched as a length >= 2 prefix chain;
         # a rule ends at one trie node, so each (rule, prefix item) edge
         # comes up once
-        completions = self.grammar.completions
+        completions = self.completions
         for psym, pitem in list(cell.items()):
             if psym[0] != "p":
                 continue
@@ -356,19 +353,19 @@ class ChartParser:
                 if score > item.inside:
                     item.inside = score
 
-    def _unary_closure(self, cell, span, extra_lexical):
+    def _unary_closure(self, cell, span):
         # fixpoint over single-symbol completions (lexical rules, unary
         # rules, chains through both); probability-1 cycles cannot improve
         # scores, so this terminates once every edge exists
+        first = self.first_step
+        completions = self.completions
         changed = True
         while changed:
             changed = False
             for sym, item in list(cell.items()):
                 if sym[0] == "p":
                     continue
-                for lhs, rule in self.grammar.unary_completions(sym):
-                    changed |= self._add_completion(cell, span, lhs, rule, item)
-                for lhs, rule in extra_lexical.get(sym, ()):
+                for lhs, rule in completions.get(first.get(sym), ()):
                     changed |= self._add_completion(cell, span, lhs, rule, item)
 
     def _add_completion(self, cell, span, lhs, rule, tail):
@@ -670,18 +667,19 @@ def _logsumexp(logs):
     return m + math.log(total)
 
 
-class SentenceParser:
-    """Model-level convenience: rules, priors, OOV handling, MPP selection."""
+class SentenceParser(ChartParser):
+    """A ChartParser over a model's rules and priors, with rules for its
+    out-of-vocabulary words and most-probable-parse selection."""
 
     def __init__(self, model: FragmentModel, n_best: int = 1000,
                  prune_ratio: float = 1e-5):
+        if n_best < 1:
+            raise ValueError("n_best must be >= 1")
+        super().__init__(to_rules(model), model.start_labels,
+                         priors=model.priors, prune_ratio=prune_ratio)
         self.model = model
         self.n_best = n_best
-        self.rules = to_rules(model)
-        self.parser = ChartParser(self.rules, model.start_labels,
-                                  priors=model.priors, prune_ratio=prune_ratio)
         self.vocabulary = model.lexical_words()
-        self._next_rule_index = len(self.rules)
 
     def oov_rules(self, words) -> list:
         """Depth-1 rules for out-of-vocabulary words via the unknown-word model."""
@@ -702,15 +700,12 @@ class SentenceParser:
                     probability = share / (Fraction(total) + 1)
                 if probability <= 0:
                     continue
-                fragment = Fragment(Tree(tag, (word,)))
-                rules.append(IndexedRule(
-                    lhs=tag, rhs=fragment.frontier, fragment=fragment,
-                    logprob=_log(probability),
-                    index=self._next_rule_index + len(rules)))
+                rules.append(_rule(Fragment(Tree(tag, (word,))), probability,
+                                   len(self.rules) + len(rules)))
         return rules
 
     def derivations(self, words) -> list:
-        chart = self.parser.chart(words, extra_rules=self.oov_rules(words))
+        chart = self.chart(words, extra_rules=self.oov_rules(words))
         return nbest_derivations(chart, self.n_best)
 
     def parse(self, words) -> ParseResult | None:

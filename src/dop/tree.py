@@ -54,8 +54,11 @@ class Tree:
         children = tuple(children)
         if not children:
             raise ValueError("tree node %r must have at least one child" % label)
-        if len(children) != 1 and any(isinstance(c, str) for c in children):
-            raise ValueError("terminal word with siblings under %r" % label)
+        if len(children) != 1:
+            for child in children:
+                if isinstance(child, str):
+                    raise ValueError(
+                        "terminal word with siblings under %r" % label)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "_hash", None)
@@ -215,10 +218,10 @@ def read_trees(text: str) -> list[Tree]:
             elif label is None or not children:
                 raise TreeReadError("empty node", oline, ocol)
             else:
-                if any(isinstance(c, str) for c in children) and len(children) > 1:
-                    raise TreeReadError(
-                        "terminal with siblings under %r" % label, oline, ocol)
-                node = Tree(label, children)
+                try:
+                    node = Tree(label, children)
+                except ValueError as err:     # a word with siblings
+                    raise TreeReadError(str(err), oline, ocol) from None
             if stack:
                 stack[-1][3].append(node)
             else:

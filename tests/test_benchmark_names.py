@@ -58,7 +58,7 @@ def test_traced_benchmark_reads_existing_fields(toy_model):
     parser = dop.parser.SentenceParser(toy_model)
     words = "john likes mary".split()
     assert set(words) <= parser.vocabulary
-    chart = parser.parser.chart(words)
+    chart = parser.chart(words)
     assert sum(len(cell) for cell in chart.cells.values()) > 0
     assert sum(len(item.edges) for cell in chart.cells.values()
                for item in cell.values()) > 0

@@ -1,6 +1,10 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +140,49 @@ def test_parse_empty_input(toy_paths, tmp_path):
     assert code == 0
     assert out.read_text() == ""
     assert stats.read_text() == ""
+
+
+def test_parse_zero_n_best_is_data_error_without_sentences(toy_paths,
+                                                          tmp_path, capsys):
+    # a blank line reaches no n-best search; the parser's own check fails it
+    _, model_path = toy_paths
+    sents = tmp_path / "blank.txt"
+    sents.write_text("\n")
+    out = tmp_path / "out.txt"
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(out), "--n-best", "0"]) == 2
+    assert "n_best must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run_dop(argv):
+    """dop as a child process, with a deadline: a bad setting checked only
+    in pool workers respawns them without end."""
+    src = str(Path(dop.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, "-m", "dop"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--prune-ratio", "0", "prune_ratio must be in (0, 1]"),
+    ("--n-best", "0", "n_best must be >= 1"),
+])
+def test_bad_parse_setting_fails_before_workers_start(toy_paths, tmp_path,
+                                                      flag, value, message):
+    _, model_path = toy_paths
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates susan\n")
+    parse = _run_dop(["parse", "--model", str(model_path), "--input",
+                      str(sents), "--output", str(tmp_path / "out.txt"),
+                      "--workers", "2", flag, value])
+    experiment = _run_dop(_experiment_argv(tmp_path)
+                          + ["--workers", "2", flag, value])
+    for done in (parse, experiment):
+        assert done.returncode == 2
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_parse_workers(toy_paths, tmp_path):
@@ -397,6 +444,22 @@ def test_experiment_reports_data_error_as_failed_point(tmp_path, capsys,
     assert main(_experiment_argv(tmp_path)) == 0
     rows = (tmp_path / "exp" / "table.tsv").read_text().splitlines()
     assert rows[1:] == ["1\tFAILED\tFAILED\t-", "2\tFAILED\tFAILED\t-"]
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    train = tmp_path / "toy.mrg"
+    train.write_text(TOY_CORPUS)
+    model = tmp_path / "m"
+    config = tmp_path / "run.conf"
+    for text, key in (("# a typo\nmax-dpeth=1\n", "'max-dpeth'"),
+                      ("sample-per-depth=none\n\nmax-depth\n", "'max-depth'")):
+        config.write_text(text)
+        assert main(["train", "--train", str(train), "--model", str(model),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "line %d" % len(text.splitlines()) in err
+        assert not model.exists()
 
 
 def test_experiment_bad_training_option_is_data_error(tmp_path, capsys):

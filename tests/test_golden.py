@@ -86,7 +86,7 @@ def test_golden_chart(tmp_path, capsys):
     parser = SentenceParser(load_model(model))
     lines = []
     for words in (line.split() for line in sents.read_text().splitlines()):
-        chart = parser.parser.chart(words, extra_rules=parser.oov_rules(words))
+        chart = parser.chart(words, extra_rules=parser.oov_rules(words))
         for span, cell in chart.cells.items():
             lines.append("%r" % (span,))
             for sym, item in cell.items():

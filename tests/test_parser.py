@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import dop.parser
 from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
                  RestrictionSet, SentenceParser, Site, Tree, build_model,
                  compose, derivation_probability, enumerate_derivations,
@@ -357,6 +358,34 @@ def test_sentence_parser_end_to_end(toy_model):
     assert parser.parse("john likes zebras".split()) is None
 
 
+def test_sentence_parser_is_the_chart_parser(toy_treebank, toy_model,
+                                             monkeypatch):
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    parser = SentenceParser(toy_model, n_best=1000, prune_ratio=1e-300)
+    assert isinstance(parser, ChartParser)
+    with pytest.raises(ValueError, match="n_best"):
+        SentenceParser(toy_model, n_best=0)
+    # patches on these names reach a parse, as the traced benchmark's do
+    calls = []
+
+    def recording(owner, name):
+        function = getattr(owner, name)
+
+        def record(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, record)
+
+    recording(ChartParser, "chart")
+    recording(SentenceParser, "oov_rules")
+    recording(dop.parser, "nbest_derivations")
+    recording(dop.parser, "most_probable_parse")
+    result = parser.parse("sam likes mary".split())
+    assert result.tree.leaves() == ["sam", "likes", "mary"]
+    assert calls == ["oov_rules", "chart", "nbest_derivations",
+                     "most_probable_parse"]
+
+
 def test_sentence_parser_oov_with_unknown_model(toy_treebank, toy_model):
     toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
     parser = SentenceParser(toy_model, n_best=1000, prune_ratio=1e-300)
@@ -439,7 +468,7 @@ def test_differential_against_oracle_on_random_banks():
         model = build_model(extract_treebank(bank), RestrictionSet(),
                             TOY_HEAD_RULES,
                             start_labels={t.label for t in bank.trees})
-        if SentenceParser(model).parser.grammar.unary_cycle is not None:
+        if SentenceParser(model).unary_cycle is not None:
             cyclic += 1       # infinite derivation sets; covered elsewhere
             continue
         banks += 1

@@ -52,6 +52,9 @@ def test_read_terminal_with_siblings():
         read_trees("(NP john mary)")
     with pytest.raises(TreeReadError):
         read_trees("(NP john (X y))")
+    with pytest.raises(TreeReadError) as caught:
+        read_trees("(S\n  (NP john mary))")
+    assert (caught.value.line, caught.value.col) == (2, 3)
 
 
 def test_write_examples():
