@@ -6,17 +6,20 @@ child subtree is either expanded in full depth-1 steps or cut off as a
 frontier substitution site. Frontier positions therefore hold words or
 `Site` markers.
 
-Canonical text form, written by `tree.write_tree`: internal nodes as
-``(label child ...)``, substitution sites as ``(label)``, words bare —
+A `Fragment` is held as its canonical key, the form `tree.write_tree`
+gives its structure: internal nodes as ``(label child ...)``, substitution
+sites as ``(label)``, words bare, one space before each child —
 ``(S (NP john) (VP))`` is the fragment with an expanded subject and an
 open VP site.
 """
 
 import random
+import re
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate, product
 
-from .tree import _TOKEN, Site, Tree, Treebank, _tokenize, write_tree
+from .tree import _TOKEN, Site, Tree, Treebank, _tokenize
 from .heads import HeadRuleTable
 
 
@@ -32,14 +35,26 @@ def _node_label(child):
     return child.label if isinstance(child, (Tree, Site)) else None
 
 
+# In a canonical key a site is the only "(label)" without a space, and a
+# word is the only token after a space that is not a bracket.
+_SITE_OR_WORD = re.compile(r"\(([^\s()]+)\)| ([^\s()]+)")
+_SITE = re.compile(r"\([^\s()]+\)")
+_BRACKET = re.compile(r"[()]")
+_NESTING = {"(": 1, ")": -1}
+
+
 class Fragment:
-    """An immutable fragment; equality and hashing go through the canonical key."""
+    """An immutable fragment, held as its canonical key.
 
-    __slots__ = ("structure", "key", "_depth", "_frontier")
+    Equality and hashing go through the key; root, depth and frontier are
+    read from it, and `structure` builds the `Tree` on each access.
+    """
 
-    def __init__(self, structure: Tree):
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "key", write_tree(structure))
+    __slots__ = ("key", "_depth", "_frontier")
+
+    def __init__(self, key: str):
+        # `key` must be canonical: use from_string for keys in any spacing
+        object.__setattr__(self, "key", key)
         object.__setattr__(self, "_depth", None)
         object.__setattr__(self, "_frontier", None)
 
@@ -49,51 +64,43 @@ class Fragment:
     @classmethod
     def from_string(cls, key: str) -> "Fragment":
         """Read a key in any spacing; the fragment's key is the canonical form."""
-        structure, frontier, canonical = _read_key(key)
-        return cls._keyed(structure, canonical, frontier)
-
-    @classmethod
-    def _keyed(cls, structure, key, frontier=None):
-        # `key` must be write_tree(structure)
-        fragment = object.__new__(cls)
-        object.__setattr__(fragment, "structure", structure)
-        object.__setattr__(fragment, "key", key)
-        object.__setattr__(fragment, "_depth", None)
+        _, frontier, canonical = _read_key(key)
+        fragment = cls(canonical)
         object.__setattr__(fragment, "_frontier", frontier)
         return fragment
 
     @property
     def root(self) -> str:
-        return self.structure.label
+        return self.key[1:self.key.index(" ")]
 
     @property
     def depth(self) -> int:
+        """Edges on the longest root-to-frontier path: the deepest bracket
+        nesting once the sites are removed."""
         if self._depth is None:
-            object.__setattr__(self, "_depth", self.structure.depth())
+            brackets = _BRACKET.findall(_SITE.sub("", self.key))
+            object.__setattr__(self, "_depth", max(
+                accumulate(map(_NESTING.__getitem__, brackets))))
         return self._depth
 
     @property
     def frontier(self) -> tuple:
         """Frontier items left to right: word strings and Site markers."""
         if self._frontier is None:
-            # an explicit stack of child iterators, not a self-calling
-            # closure, which would leave a reference cycle per call
-            items = []
-            stack = [iter(self.structure.children)]
-            while stack:
-                for child in stack[-1]:
-                    if isinstance(child, Tree):
-                        stack.append(iter(child.children))
-                        break
-                    items.append(child)
-                else:
-                    stack.pop()
-            object.__setattr__(self, "_frontier", tuple(items))
+            object.__setattr__(self, "_frontier", tuple(
+                Site(site) if site else word
+                for site, word in _SITE_OR_WORD.findall(self.key)))
         return self._frontier
 
     @property
     def frontier_word_count(self) -> int:
-        return sum(1 for item in self.frontier if isinstance(item, str))
+        # each space in a key starts a child: a word or a bracketed node
+        return self.key.count(" ") - self.key.count(" (")
+
+    @property
+    def structure(self) -> Tree:
+        """The fragment as a `Tree` with `Site` leaves, read from the key."""
+        return _read_key(self.key, build=True)[0]
 
     def __eq__(self, other):
         return isinstance(other, Fragment) and self.key == other.key
@@ -102,7 +109,7 @@ class Fragment:
         return hash(self.key)
 
     def __reduce__(self):
-        return (Fragment.from_string, (self.key,))
+        return (Fragment, (self.key,))
 
     def __repr__(self):
         return "Fragment(%s)" % self.key
@@ -111,10 +118,11 @@ class Fragment:
         return self.key
 
 
-def _read_key(text):
+def _read_key(text, build=False):
     """(structure, frontier, canonical key) of a bracketed key, in one pass.
 
-    The canonical key is the tokens rejoined with single spaces, none just
+    The structure is built only when asked for, and is None otherwise. The
+    canonical key is the tokens rejoined with single spaces, none just
     inside a bracket: what `write_tree` makes of the structure.
     """
     def fail(msg):
@@ -140,26 +148,31 @@ def _read_key(text):
             want_label = True
         elif tok == ")":
             label, children = stack.pop()
-            if children:
-                node = Tree(label, children)
-            else:
+            if not children:
                 node = Site(label)
                 frontier.append(node)
+            elif build:
+                node = Tree(label, children)
+            else:
+                node = label      # the parent only reads that it has children
             if stack:
                 stack[-1][1].append(node)
             elif pos != last:
                 fail("trailing tokens")
+            elif not children:
+                fail("fragment must have at least one level")
         else:
+            # tokens[pos - 1] is then the label of the word's node
+            if tokens[pos - 2] != "(" or tokens[pos + 1:pos + 2] != [")"]:
+                fail("a word must be the only child of its node")
             stack[-1][1].append(tok)
             frontier.append(tok)
     if want_label:
         fail("expected label")
     if stack:
         fail("unbalanced")
-    if not isinstance(node, Tree):
-        fail("fragment must have at least one level")
     key = " ".join(tokens).replace("( ", "(").replace(" )", ")")
-    return node, tuple(frontier), key
+    return node if build else None, tuple(frontier), key
 
 
 def count_fragments(tree: Tree) -> int:
@@ -184,12 +197,11 @@ def count_fragments(tree: Tree) -> int:
 
 def depth1_fragment(node: Tree) -> Fragment:
     """The single-level rewrite at a node: all children as frontier."""
-    children = [c if isinstance(c, str) else Site(c.label) for c in node.children]
-    return Fragment(Tree(node.label, children))
+    return Fragment(depth1_key(node))
 
 
 def depth1_key(node: Tree) -> str:
-    """`depth1_fragment(node).key`, written straight from the node."""
+    """The key of `depth1_fragment(node)`, written straight from the node."""
     children = node.children
     if isinstance(children[0], str):
         return "(%s %s)" % (node.label, children[0])
@@ -211,33 +223,21 @@ def extract_all(tree: Tree, cap: int = 10**6) -> Counter:
     memo = {}
 
     def expansions(node):
+        """The keys of the fragments rooted at a node."""
         got = memo.get(id(node))
-        if got is not None:
-            return got
-        options = []
-        for child in node.children:
-            if isinstance(child, str):
-                options.append((child,))
-            else:
-                options.append((Site(child.label), *expansions(child)))
-        out = []
-        _product(options, 0, [], out, node.label)
-        memo[id(node)] = out
-        return out
-
-    def _product(options, i, chosen, out, label):
-        if i == len(options):
-            out.append(Tree(label, tuple(chosen)))
-            return
-        for choice in options[i]:
-            chosen.append(choice)
-            _product(options, i + 1, chosen, out, label)
-            chosen.pop()
+        if got is None:
+            # each child is its word, or its site or one of its keys
+            options = [(child,) if isinstance(child, str)
+                       else ("(%s)" % child.label, *expansions(child))
+                       for child in node.children]
+            got = memo[id(node)] = ["(%s %s)" % (node.label, " ".join(choice))
+                                    for choice in product(*options)]
+        return got
 
     result = Counter()
     for node in tree.subtrees():
-        for structure in expansions(node):
-            result[Fragment(structure)] += 1
+        for key in expansions(node):
+            result[Fragment(key)] += 1
     return result
 
 
@@ -299,8 +299,8 @@ def sample_fragments(treebank: Treebank, depth: int, count: int,
         key = _site_key(top)
         drawn = counts.get(key)
         if drawn is None:
-            fragment = Fragment._keyed(_freeze(top), key)
-            # equal keys are equal structures: one check covers every draw
+            fragment = Fragment(key)
+            # equal keys are equal fragments: one check covers every draw
             assert fragment.depth == depth
             types.append(fragment)
             counts[key] = 1
@@ -359,17 +359,8 @@ def _expand(site):
     return sites
 
 
-def _freeze(site):
-    node, _, children = site
-    if children is None:
-        return Site(node.label)
-    if isinstance(children[0], str):
-        return Tree(node.label, children)
-    return Tree(node.label, [_freeze(child) for child in children])
-
-
 def _site_key(site):
-    """write_tree(_freeze(site)), written straight from the site record."""
+    """The canonical key of the fragment a site record has grown."""
     node, _, children = site
     if children is None:
         return "(%s)" % node.label

@@ -55,7 +55,7 @@ def compose(left, right):
     result, done = substitute(lstruct)
     if not done:
         raise CompositionError("no open substitution site on the left operand")
-    fragment = Fragment(result)
+    fragment = Fragment(write_tree(result))
     if any(isinstance(item, Site) for item in fragment.frontier):
         return fragment
     return result

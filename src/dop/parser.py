@@ -12,24 +12,19 @@ is read from it only when asked for.
 """
 
 import math
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 
-from .fragments import Fragment
+from .fragments import _SITE, Fragment
 from .model import FragmentModel
 from .tree import Site, Tree, read_trees
 
 
 class CyclicGrammarError(ValueError):
     """Unary fragment cycles make the derivation set infinite."""
-
-
-# a site is the only "(label)" without a space: words and labels hold none
-_SITE_TEXT = re.compile(r"\([^\s()]+\)")
 
 
 @dataclass(frozen=True)
@@ -48,7 +43,7 @@ class IndexedRule:
         right, gives the bracketed form of the substituted tree. Computed
         the first time the rule is realized.
         """
-        return tuple(_SITE_TEXT.split(self.fragment.key))
+        return tuple(_SITE.split(self.fragment.key))
 
     @cached_property
     def scaled(self) -> int:
@@ -688,6 +683,8 @@ class SentenceParser(ChartParser):
         if unknown is None:
             return rules
         for word in sorted(set(words) - self.vocabulary):
+            if "(" in word or ")" in word:
+                continue          # no fragment key can hold a bracket
             distribution = unknown.tag_distribution(word)
             for tag, share in sorted(distribution.items()):
                 total = self.model.root_totals.get(tag)
@@ -700,8 +697,8 @@ class SentenceParser(ChartParser):
                     probability = share / (Fraction(total) + 1)
                 if probability <= 0:
                     continue
-                rules.append(_rule(Fragment(Tree(tag, (word,))), probability,
-                                   len(self.rules) + len(rules)))
+                rules.append(_rule(Fragment("(%s %s)" % (tag, word)),
+                                   probability, len(self.rules) + len(rules)))
         return rules
 
     def derivations(self, words) -> list:

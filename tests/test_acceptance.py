@@ -221,14 +221,14 @@ def test_criterion_6_restrictions():
     best = RestrictionSet(max_frontier_words=12, max_unlex_depth=6)
 
     def wide(n):
-        return Fragment(Tree("S", tuple(Tree("P", ("w%d" % i,))
-                                        for i in range(n))))
+        return Fragment(write_tree(Tree("S", tuple(Tree("P", ("w%d" % i,))
+                                                   for i in range(n)))))
 
     def chain(depth):
         node = Tree("A", (Site("B"),))
         for _ in range(depth - 1):
             node = Tree("A", (node,))
-        return Fragment(node)
+        return Fragment(write_tree(node))
 
     assert passes(wide(12), best, TOY_HEAD_RULES)
     assert not passes(wide(13), best, TOY_HEAD_RULES)

@@ -11,7 +11,7 @@ import pytest
 import dop.parser
 from dop.cli import _parse_corpus, main
 from dop import GrammarError, load_model, read_trees, write_tree
-from dop.modelio import model_to_text
+from dop.modelio import ModelFormatError, model_to_text
 from dop.tree import write_treebank
 from conftest import TOY_CORPUS, synthetic_treebank, unary_chain_model
 
@@ -87,6 +87,26 @@ def test_parse_command(toy_paths, tmp_path):
     assert len(stat_rows) == 3
     assert stat_rows[0][0] == "0" and int(stat_rows[0][2]) > 0
     assert stat_rows[1][2] == "0"
+
+
+def test_parse_bracket_words_are_noparse_and_score(toy_paths, tmp_path):
+    # no fragment key holds a bracket, so such a word gets no OOV rule; the
+    # parser's output must stay readable by `dop score`
+    _, model_path = toy_paths
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john ( mary\njohn ) mary\njohn x(y mary\n"
+                     "john likes mary\n")
+    out = tmp_path / "out.txt"
+    code = main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines() == [
+        "NOPARSE", "NOPARSE", "NOPARSE",
+        "(S (NP john) (VP (V likes) (NP mary)))"]
+    gold = tmp_path / "gold.mrg"
+    gold.write_text("(S (NP john) (VP (V -LRB-) (NP mary)))\n" * 3
+                    + "(S (NP john) (VP (V likes) (NP mary)))\n")
+    assert main(["score", "--proposed", str(out), "--gold", str(gold)]) == 0
 
 
 def test_parse_deep_unary_chain(tmp_path):
@@ -510,6 +530,24 @@ def test_data_error_exit_code(tmp_path, capsys):
     code = main(["train", "--train", str(tmp_path / "missing.mrg"),
                  "--model", str(tmp_path / "m")])
     assert code == 2
+
+
+def test_every_package_error_is_a_value_error():
+    # main turns (OSError, ValueError) into exit 2: every error class the
+    # package defines must be among them
+    import importlib
+    import inspect
+    import pkgutil
+    found = []
+    for info in pkgutil.iter_modules(dop.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("dop." + info.name)
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if cls.__module__ == module.__name__
+                  and issubclass(cls, BaseException)]
+    assert ModelFormatError in found and len(found) >= 10
+    assert [cls for cls in found if not issubclass(cls, ValueError)] == []
 
 
 def test_malformed_treebank_exit_code(tmp_path, capsys):

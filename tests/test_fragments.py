@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -49,7 +50,8 @@ def subset_enumeration_fragments(tree):
             for combo in itertools.combinations(descendants, size):
                 expanded = set(combo) | {root_path}
                 if all(p == root_path or p[:-1] in expanded for p in expanded):
-                    result[Fragment(build(root_node, root_path, expanded))] += 1
+                    result[Fragment(write_tree(
+                        build(root_node, root_path, expanded)))] += 1
     return result
 
 
@@ -198,7 +200,7 @@ def _sample_reference(treebank, depth, count, seed):
             site = queue.pop(0)
             if site[1] < depth and rng.random() < 0.5:
                 queue.extend(_expand_reference(site))
-        result[Fragment(_freeze_reference(top))] += 1
+        result[Fragment(write_tree(_freeze_reference(top)))] += 1
     return result
 
 
@@ -287,12 +289,12 @@ def _chain_fragment(depth, lexical_tail=None):
         levels = depth - 1
     for _ in range(levels):
         node = Tree("A", (node,))
-    return Fragment(node)
+    return Fragment(write_tree(node))
 
 
 def _wide_fragment(n_words):
     children = tuple(Tree("P", ("w%d" % i,)) for i in range(n_words))
-    return Fragment(Tree("S", children))
+    return Fragment(write_tree(Tree("S", children)))
 
 
 def test_passes_unlexicalized_depth_boundary():
@@ -447,13 +449,60 @@ def test_read_key_matches_structure_path_on_sampled_model():
     assert len(model.entries) > 100
     for key in model.entries:
         read = Fragment.from_string(key)
-        built = Fragment(read.structure)
+        built = Fragment(write_tree(read.structure))
         assert (read.key, read.frontier, read.depth) == (
             built.key, built.frontier, built.depth) == (
             key, model.entries[key].fragment.frontier,
             model.entries[key].fragment.depth)
         spaced = key.replace("(", "( ").replace(")", " )").replace(" ", " \t ")
         assert Fragment.from_string(spaced).key == key
+
+
+def _walk_frontier(structure):
+    """Words and sites of a structure, left to right."""
+    items = []
+    stack = [structure]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Tree):
+            stack.extend(reversed(node.children))
+        else:
+            items.append(node)
+    return tuple(items)
+
+
+def _check_key_derived(fragment):
+    # root, depth and frontier are read from the key; the structure is
+    # read from it by a separate path
+    structure = fragment.structure
+    frontier = _walk_frontier(structure)
+    words = sum(1 for item in frontier if isinstance(item, str))
+    assert write_tree(structure) == fragment.key
+    copy = pickle.loads(pickle.dumps(fragment))
+    for other in (fragment, copy, Fragment.from_string(fragment.key)):
+        assert other == fragment and other.key == fragment.key
+        assert other.frontier_word_count == words
+        assert other.root == structure.label
+        assert other.depth == structure.depth()
+        assert other.frontier == frontier
+
+
+def test_key_derived_properties_match_structure():
+    rng = random.Random(211)
+    for _ in range(40):
+        tree = random_tree(rng, max_internal=9)
+        for fragment in extract_all(tree):
+            _check_key_derived(fragment)
+    for _ in range(5):
+        bank = Treebank(tuple(random_tree(rng, max_internal=20, max_depth=6)
+                              for _ in range(8)))
+        top = max(tree.depth() for tree in bank.trees)
+        for depth in range(2, top + 1):
+            for fragment in sample_fragments(bank, depth, 40, seed=depth):
+                _check_key_derived(fragment)
+                assert fragment.depth == depth
+    for node in random_tree(rng, max_internal=30, max_depth=7).subtrees():
+        _check_key_derived(depth1_fragment(node))
 
 
 def test_deep_unary_key_loads():

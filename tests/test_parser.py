@@ -295,7 +295,7 @@ def test_exact_sum_matches_fsum_on_extreme_floats():
 
 def _dummy_derivation(logprob, bracketed):
     tree = read_trees(bracketed)[0]
-    return Derivation(logprob, bracketed, (Fragment(tree), ()))
+    return Derivation(logprob, bracketed, (Fragment(write_tree(tree)), ()))
 
 
 def test_mpp_sums_per_tree():
