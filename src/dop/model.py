@@ -35,13 +35,23 @@ class UnknownWordModel:
 
     Keys are (lowercase suffix, starts-capitalized, has-hyphen, has-digit);
     each rare-word occurrence is indexed under every suffix of length 1..3
-    so lookups can back off to shorter suffixes.
+    so lookups can back off to shorter suffixes. The back-off tables are
+    summed from full_stats: suffix_stats over the flags, and open_class,
+    the tags of the rare words, since every word has a suffix.
     """
 
     threshold: int
     full_stats: dict
-    suffix_stats: dict
-    open_class: tuple
+    suffix_stats: dict = field(init=False)
+    open_class: tuple = field(init=False)
+
+    def __post_init__(self):
+        suffix_stats = defaultdict(Counter)
+        for (suffix, _, _, _), counts in self.full_stats.items():
+            suffix_stats[suffix].update(counts)
+        self.suffix_stats = dict(suffix_stats)
+        self.open_class = tuple(sorted(
+            {tag for counts in suffix_stats.values() for tag in counts}))
 
     def tag_distribution(self, word: str) -> dict:
         """Preterminal distribution for an out-of-vocabulary word.
@@ -214,8 +224,6 @@ def train_unknown_model(treebank: Treebank, threshold: int) -> UnknownWordModel:
         raise ValueError("rarity threshold must be >= 1")
     vocabulary = treebank.vocabulary
     full_stats = defaultdict(Counter)
-    suffix_stats = defaultdict(Counter)
-    open_class = set()
     for nodes in treebank.nodes:
         for node in nodes:
             if not node.is_preterminal:
@@ -226,14 +234,10 @@ def train_unknown_model(treebank: Treebank, threshold: int) -> UnknownWordModel:
             suffixes, caps, hyphen, digit = word_features(word)
             for suffix in suffixes:
                 full_stats[(suffix, caps, hyphen, digit)][node.label] += 1
-                suffix_stats[suffix][node.label] += 1
-            open_class.add(node.label)
-    if not open_class:
+    if not full_stats:
         raise GrammarError(
             "no words occur <= %d times; raise the rarity threshold" % threshold)
-    return UnknownWordModel(threshold=threshold, full_stats=dict(full_stats),
-                            suffix_stats=dict(suffix_stats),
-                            open_class=tuple(sorted(open_class)))
+    return UnknownWordModel(threshold=threshold, full_stats=dict(full_stats))
 
 
 def _normalize(counts: Counter) -> dict:

@@ -142,14 +142,8 @@ def model_from_text(text: str) -> FragmentModel:
             raise ModelFormatError("line %d: unknown record %r" % (lineno, tag))
     unknown = None
     if unk_threshold is not None:
-        suffix_stats = defaultdict(Counter)
-        tags = set()
-        for (suffix, _, _, _), counter in unk_stats.items():
-            suffix_stats[suffix].update(counter)
-            tags.update(counter)
-        unknown = UnknownWordModel(
-            threshold=unk_threshold, full_stats=dict(unk_stats),
-            suffix_stats=dict(suffix_stats), open_class=tuple(sorted(tags)))
+        unknown = UnknownWordModel(threshold=unk_threshold,
+                                   full_stats=dict(unk_stats))
     model = FragmentModel(
         entries=entries, root_totals=root_totals, restriction=restriction,
         start_labels=frozenset(start), priors=priors, smoothed=smoothed,

@@ -124,10 +124,10 @@ class ChartItem:
     """A (symbol, span) vertex of the parse forest.
 
     inside is the best (Viterbi) log inside probability; edges are
-    (rule-or-None, tails, log weight) triples. Binary steps and prefix
-    completions, which never repeat an edge, append theirs directly;
-    add_edge, which drops an edge the item already has, is for the unary
-    closure.
+    (rule-or-None, tails, log weight) triples. Every edge is appended
+    once: each binary step pairs two items once, and each item is taken
+    once by its cell's completion queue, which makes the edges it is the
+    tail of.
 
     The rest is n-best state, filled lazily during extraction: derivs
     lists the derivations found so far, best first; cand is the candidate
@@ -137,7 +137,7 @@ class ChartItem:
     maps k to the realization of derivs[k] (see _realize).
     """
 
-    __slots__ = ("sym", "span", "inside", "edges", "_edge_ids",
+    __slots__ = ("sym", "span", "inside", "edges",
                  "derivs", "cand", "pending", "reals")
 
     def __init__(self, sym, span):
@@ -145,24 +145,10 @@ class ChartItem:
         self.span = span
         self.inside = -math.inf
         self.edges = []
-        self._edge_ids = None
         self.derivs = None
         self.cand = None
         self.pending = None
         self.reals = None
-
-    def add_edge(self, rule, tails, weight):
-        edge_id = (rule.index if rule else -1, tuple(id(t) for t in tails))
-        if self._edge_ids is None:
-            self._edge_ids = set()
-        elif edge_id in self._edge_ids:
-            return False
-        self._edge_ids.add(edge_id)
-        self.edges.append((rule, tuple(tails), weight))
-        score = weight + sum(t.inside for t in tails)
-        if score > self.inside:
-            self.inside = score
-        return True
 
     @property
     def label(self):
@@ -194,6 +180,9 @@ class ChartParser:
     score is below prune_ratio times the span's best is dropped.
     Rules are matched through a prefix trie over their right-hand sides,
     built here; unary_cycle is a label on a cycle of unary rules, or None.
+    A cell is filled in three phases: binary steps make its prefix items,
+    one completion queue makes its complete items, and pruning drops the
+    weak ones. Every edge is appended once, so none is deduplicated.
     """
 
     def __init__(self, rules, start_labels, priors=None, prune_ratio=1e-5):
@@ -266,12 +255,15 @@ class ChartParser:
                     word_item.inside = 0.0
                     cell[word_item.sym] = word_item
                     for rule in extra.get(word, ()):
-                        self._add_completion(cell, span, rule.lhs, rule,
-                                             word_item)
+                        sym = ("n", rule.lhs)
+                        item = cell.get(sym)
+                        if item is None:
+                            item = cell[sym] = ChartItem(sym, span)
+                        item.edges.append((rule, (word_item,), rule.logprob))
+                        item.inside = max(item.inside, rule.logprob)
                 else:
                     self._binary_phase(heads, tails, span, cell)
-                self._complete_prefixes(cell, span)
-                self._unary_closure(cell, span)
+                self._complete(cell, span)
                 self._prune(cell)
                 heads[span], tails[span] = self._partners(cell)
 
@@ -330,47 +322,28 @@ class ChartParser:
                     if score > item.inside:
                         item.inside = score
 
-    def _complete_prefixes(self, cell, span):
-        # rules whose full rhs was matched as a length >= 2 prefix chain;
-        # a rule ends at one trie node, so each (rule, prefix item) edge
-        # comes up once
-        completions = self.completions
-        for psym, pitem in list(cell.items()):
-            if psym[0] != "p":
-                continue
-            for lhs, rule in completions.get(psym[1], ()):
-                sym = ("n", lhs)
-                item = cell.get(sym)
-                if item is None:
-                    item = cell[sym] = ChartItem(sym, span)
-                item.edges.append((rule, (pitem,), rule.logprob))
-                score = rule.logprob + pitem.inside
-                if score > item.inside:
-                    item.inside = score
-
-    def _unary_closure(self, cell, span):
-        # fixpoint over single-symbol completions (lexical rules, unary
-        # rules, chains through both); probability-1 cycles cannot improve
-        # scores, so this terminates once every edge exists
+    def _complete(self, cell, span):
+        # a queue over the cell, prefix items first, that takes each item
+        # once: a prefix item completes the rules its trie node ends, a
+        # complete item the one-symbol rules (lexical, unary) of its
+        # symbol, and the items this makes join the queue. An inside that
+        # rises after its item was taken is not passed on.
         first = self.first_step
         completions = self.completions
-        changed = True
-        while changed:
-            changed = False
-            for sym, item in list(cell.items()):
-                if sym[0] == "p":
-                    continue
-                for lhs, rule in completions.get(first.get(sym), ()):
-                    changed |= self._add_completion(cell, span, lhs, rule, item)
-
-    def _add_completion(self, cell, span, lhs, rule, tail):
-        sym = ("n", lhs)
-        item = cell.get(sym)
-        if item is None:
-            item = cell[sym] = ChartItem(sym, span)
-        old_inside = item.inside
-        added = item.add_edge(rule, (tail,), rule.logprob)
-        return added or item.inside > old_inside
+        queue = list(cell.values())
+        for tail in queue:
+            sym = tail.sym
+            node = sym[1] if sym[0] == "p" else first.get(sym)
+            for lhs, rule in completions.get(node, ()):
+                nsym = ("n", lhs)
+                item = cell.get(nsym)
+                if item is None:
+                    item = cell[nsym] = ChartItem(nsym, span)
+                    queue.append(item)
+                item.edges.append((rule, (tail,), rule.logprob))
+                score = rule.logprob + tail.inside
+                if score > item.inside:
+                    item.inside = score
 
     def _prune(self, cell):
         scored = {sym: item.inside + self._log_prior(sym[1])
@@ -605,8 +578,7 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
             "unary fragment cycle through %r; the derivation set is infinite"
             % chart.unary_cycle)
     goal = ChartItem(("g", None), (0, len(chart.sentence)))
-    for item in chart.start_items:
-        goal.add_edge(None, (item,), 0.0)
+    goal.edges = [(None, (item,), 0.0) for item in chart.start_items]
     result = []
     for k in range(n):
         deriv = _get_kth(goal, k)

@@ -21,6 +21,8 @@ def test_round_trip_preserves_everything(toy_model, toy_treebank):
     assert loaded.smoothed == toy_model.smoothed
     assert loaded.unknown_words.full_stats == toy_model.unknown_words.full_stats
     assert loaded.unknown_words.open_class == toy_model.unknown_words.open_class
+    assert (loaded.unknown_words.suffix_stats
+            == toy_model.unknown_words.suffix_stats)
 
 
 def test_serialization_deterministic_and_stable(toy_model):

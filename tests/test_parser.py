@@ -266,6 +266,77 @@ def test_unary_cycle_raises():
         nbest_derivations(chart, 10)
 
 
+def test_chart_keeps_a_stale_inside_score():
+    # characterization: the width-1 cell completes w -> A, B; A -> C;
+    # B -> A, in that order, so A's inside rises from log 0.1 to log 0.9
+    # after C was completed from it, and C keeps log 0.1. The golden bank
+    # has no such stale item, so this is the pin for the fix of stale
+    # inside scores (ROADMAP item 8), which must change it on purpose.
+    fragments = Counter({frag("(A w)"): 1, frag("(A (B))"): 9,
+                         frag("(B w)"): 1, frag("(C (A))"): 1})
+    model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
+                        start_labels={"C"})
+    rules = {rule.fragment.key: rule for rule in to_rules(model)}
+    chart = ChartParser(rules.values(), start_labels=["C"],
+                        prune_ratio=1e-300).chart(["w"])
+    cell = chart.cells[(0, 1)]
+    assert list(cell) == [("w", "w"), ("n", "A"), ("n", "B"), ("n", "C")]
+    word, a, b, c = cell.values()
+    assert word.edges == []
+    assert [(rule.fragment.key, tails) for rule, tails, _ in a.edges] == [
+        ("(A w)", (word,)), ("(A (B))", (b,))]
+    assert [(rule.fragment.key, tails) for rule, tails, _ in b.edges] == [
+        ("(B w)", (word,))]
+    assert [(rule.fragment.key, tails) for rule, tails, _ in c.edges] == [
+        ("(C (A))", (a,))]
+    for item in (a, b, c):
+        assert all(weight == rule.logprob for rule, _, weight in item.edges)
+    log_a_w = rules["(A w)"].logprob
+    log_a_b = rules["(A (B))"].logprob
+    assert math.isclose(log_a_w, math.log(0.1))
+    assert math.isclose(log_a_b, math.log(0.9))
+    assert word.inside == 0.0
+    assert b.inside == rules["(B w)"].logprob == 0.0
+    assert a.inside == log_a_b
+    assert c.inside == rules["(C (A))"].logprob + log_a_w
+    # C's only edge scores log 0.9, above the inside it holds
+    assert c.edges[0][2] + a.inside == log_a_b > c.inside
+    assert chart.start_items == [c]
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_unary_chain_completion_is_linear():
+    # each item of a cell is taken once: a 1000-level chain of depth-1
+    # unary rules costs one completion lookup per item, not one per item
+    # per round (about n**2 / 2)
+    depth = 1000
+    fragments = Counter({frag("(X%d (X%d))" % (i, i + 1)): 1
+                         for i in range(depth - 1)})
+    fragments[frag("(X%d w)" % (depth - 1))] = 1
+    model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
+                        start_labels={"X0"})
+    parser = ChartParser(to_rules(model), start_labels=["X0"],
+                         prune_ratio=1e-300)
+    parser.completions = _CountingDict(parser.completions)
+    chart = parser.chart(["w"])
+    lookups = parser.completions.lookups
+    items = sum(len(cell) for cell in chart.cells.values())
+    assert items == depth + 1
+    assert [item.label for item in chart.start_items] == ["X0"]
+    assert lookups <= 2 * items
+
+
 # ------------------------------------------------------ exact sums
 
 def test_exact_sum_matches_fsum_on_extreme_floats():
