@@ -15,6 +15,7 @@ open VP site.
 
 import random
 import re
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate, product
@@ -41,6 +42,18 @@ _SITE_OR_WORD = re.compile(r"\(([^\s()]+)\)| ([^\s()]+)")
 _SITE = re.compile(r"\([^\s()]+\)")
 _BRACKET = re.compile(r"[()]")
 _NESTING = {"(": 1, ")": -1}
+
+# frontiers share one Site per label, and their words are interned, so a
+# model's frontiers hold no copy of a site or a word per occurrence; a Site
+# is immutable and labels are few, so every model in a process shares them
+_SITES = {}
+
+
+def _site(label):
+    site = _SITES.get(label)
+    if site is None:
+        site = _SITES[label] = Site(label)
+    return site
 
 
 class Fragment:
@@ -88,7 +101,7 @@ class Fragment:
         """Frontier items left to right: word strings and Site markers."""
         if self._frontier is None:
             object.__setattr__(self, "_frontier", tuple(
-                Site(site) if site else word
+                _site(site) if site else sys.intern(word)
                 for site, word in _SITE_OR_WORD.findall(self.key)))
         return self._frontier
 
@@ -149,7 +162,7 @@ def _read_key(text, build=False):
         elif tok == ")":
             label, children = stack.pop()
             if not children:
-                node = Site(label)
+                node = _site(label)
                 frontier.append(node)
             elif build:
                 node = Tree(label, children)
@@ -165,8 +178,9 @@ def _read_key(text, build=False):
             # tokens[pos - 1] is then the label of the word's node
             if tokens[pos - 2] != "(" or tokens[pos + 1:pos + 2] != [")"]:
                 fail("a word must be the only child of its node")
-            stack[-1][1].append(tok)
-            frontier.append(tok)
+            word = sys.intern(tok)
+            stack[-1][1].append(word)
+            frontier.append(word)
     if want_label:
         fail("expected label")
     if stack:

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 
 from .fragments import _SITE, Fragment
 from .model import FragmentModel
@@ -36,14 +36,16 @@ class IndexedRule:
     index: int
 
     @cached_property
-    def template(self) -> tuple:
-        """The fragment key split at its substitution sites.
+    def form(self) -> str:
+        """The fragment key as a format string, "%s" at each substitution
+        site and each "%" doubled.
 
-        Joining the pieces with one bracketed subtree per site, left to
+        Formatting it with the bracketed subtrees of the sites, left to
         right, gives the bracketed form of the substituted tree. Computed
         the first time the rule is realized.
         """
-        return tuple(_SITE.split(self.fragment.key))
+        return "%s".join(piece.replace("%", "%%")
+                         for piece in _SITE.split(self.fragment.key))
 
     @cached_property
     def scaled(self) -> int:
@@ -130,11 +132,14 @@ class ChartItem:
     tail of.
 
     The rest is n-best state, filled lazily during extraction: derivs
-    lists the derivations found so far, best first; cand is the candidate
-    heap, and None once the item has no more derivations (and before the
-    first request, while derivs is None); pending is the last popped
-    derivation, whose successors are pushed on the next request; reals
-    maps k to the realization of derivs[k] (see _realize).
+    lists the derivations found so far, best first, each as the heap
+    entry it was popped as: (-logprob, edge index, j) on a complete item,
+    (-logprob, edge index, a, b) on a prefix item (see _get_kth), and the
+    one entry (-0.0,) on a word item. cand is the heap of candidate
+    entries, and None once the item has no more derivations (and before
+    the first request, while derivs is None); pending is the last popped
+    entry, whose successors are pushed on the next request; reals maps k
+    to the realization of derivs[k] (see _realize).
     """
 
     __slots__ = ("sym", "span", "inside", "edges",
@@ -411,22 +416,25 @@ class ParseResult:
 
 
 def _get_kth(item, k):
-    """k-th best derivation of an item as (logprob, edge index, jvec), or None.
+    """k-th best derivation of an item as its heap entry, or None.
 
     Lazy k-best in the manner of Huang & Chiang (2005), Algorithm 3: the
     successors of a popped candidate enter the heap only when the next
-    derivation is asked for. Each jvec has one designated predecessor, so
-    no candidate is pushed twice. Successors never score above their
-    predecessor, so derivations come out in (-logprob, edge index, jvec)
-    order whichever way the heap is fed. Once the heap runs dry, cand is
-    set to None: the item has no more derivations, and callers that see
-    that ask no further.
+    derivation is asked for. An entry is (-logprob, edge index, j) on an
+    item whose edges have one tail (a complete item), and (-logprob, edge
+    index, a, b) on a prefix item, whose edges are binary steps; j, a and
+    b index the tails' derivations. Each candidate has one designated
+    predecessor, so none is pushed twice. Successors never score above
+    their predecessor, so entries come out in tuple order whichever way
+    the heap is fed. Once the heap runs dry, cand is set to None: the item
+    has no more derivations, and callers that see that ask no further.
     """
     derivs = item.derivs
     if derivs is None:
         derivs = item.derivs = []
         if item.sym[0] == "w":
-            derivs.append((0.0, -1, ()))
+            # log 1, negated: a rule's w - -0.0 is w + 0.0, bit for bit
+            derivs.append((-0.0,))
             return derivs[0] if k == 0 else None
         item.cand = []
         item.reals = {}
@@ -440,121 +448,105 @@ def _get_kth(item, k):
         pending = item.pending
         if pending is not None:
             item.pending = None
-            _, edge_idx, jvec = pending
-            # edges have one tail (completions, the goal) or two (prefix
-            # steps); (a, b) bumps a only while b is 0
-            if len(jvec) == 1:
-                _push_one(item, edge_idx, jvec[0] + 1)
+            if len(pending) == 3:
+                _push_one(item, pending[1], pending[2] + 1)
             else:
-                a, b = jvec
+                # (a, b) bumps a only while b is 0
+                _, edge_idx, a, b = pending
                 if b == 0:
                     _push_two(item, edge_idx, a + 1, 0)
                 _push_two(item, edge_idx, a, b + 1)
         if not cand:
             item.cand = None
             return None
-        neg, edge_idx, jvec = heappop(cand)
-        deriv = (-neg, edge_idx, jvec)
-        derivs.append(deriv)
-        item.pending = deriv
+        pending = item.pending = heappop(cand)
+        derivs.append(pending)
     return derivs[k]
 
 
 def _push_one(item, edge_idx, j):
-    """Push candidate (j,) of a one-tail edge, if the tail has a j-th."""
+    """Push candidate j of a one-tail edge, if the tail has a j-th."""
     _, tails, weight = item.edges[edge_idx]
     tail = tails[0]
     derivs = tail.derivs
     if derivs is not None and j < len(derivs):
-        score = derivs[j][0]
+        neg = derivs[j][0]
     elif derivs is not None and tail.cand is None:
         return
     else:
         sub = _get_kth(tail, j)
         if sub is None:
             return
-        score = sub[0]
-    heappush(item.cand, (-(weight + score), edge_idx, (j,)))
+        neg = sub[0]
+    heappush(item.cand, (-(weight - neg), edge_idx, j))
 
 
 def _push_two(item, edge_idx, a, b):
     """Push candidate (a, b) of a prefix step, if both tails have theirs.
 
     The score sums as (weight + left) + right, the order every other
-    candidate of the item was scored in.
+    candidate of the item was scored in; on negated scores that is
+    (weight - left_neg) - right_neg, which rounds the same.
     """
     _, (left, right), weight = item.edges[edge_idx]
     derivs = left.derivs
     if derivs is not None and a < len(derivs):
-        left_score = derivs[a][0]
+        left_neg = derivs[a][0]
     elif derivs is not None and left.cand is None:
         return
     else:
         sub = _get_kth(left, a)
         if sub is None:
             return
-        left_score = sub[0]
+        left_neg = sub[0]
     derivs = right.derivs
     if derivs is not None and b < len(derivs):
-        right_score = derivs[b][0]
+        right_neg = derivs[b][0]
     elif derivs is not None and right.cand is None:
         return
     else:
         sub = _get_kth(right, b)
         if sub is None:
             return
-        right_score = sub[0]
-    heappush(item.cand,
-             (-((weight + left_score) + right_score), edge_idx, (a, b)))
+        right_neg = sub[0]
+    heappush(item.cand, (-((weight - left_neg) - right_neg), edge_idx, a, b))
 
 
 def _realize(item, k):
     """The k-th derivation of an 'n' item as (fragment, subs, string, sum).
 
     subs are the realizations of the substitution sites, right to left;
-    the string joins the rule's fragment template with theirs; sum is the
+    the string fills the rule's format string with theirs; sum is the
     derivation's log probability scaled by 2**1074, an exact int (see
     _scaled). Kept in item.reals[k], so a subderivation shared by many
     derivations is realized once; callers look there first.
     """
-    _, edge_idx, jvec = item.derivs[k]
-    rule, tails, _ = item.edges[edge_idx]
-    template = rule.template
+    _, edge_idx, j = item.derivs[k]
+    rule, (tail,), _ = item.edges[edge_idx]
     total = rule.scaled
     # walk the binarized prefix chain of the rule back into its rhs item
     # sequence, right to left; the 'n' items are the sites (words carry
-    # no subderivation), and site i goes between template pieces i, i + 1
+    # no subderivation)
     subs = []
-    pieces = [template[-1]]
-    i = len(template) - 1
-    tail, j = tails[0], jvec[0]
     while tail.sym[0] == "p":
-        _, edge_idx, jvec = tail.derivs[j]
+        _, edge_idx, j, site_k = tail.derivs[j]
         tail, right = tail.edges[edge_idx][1]
         if right.sym[0] == "n":
-            site_k = jvec[1]
             sub = right.reals.get(site_k)
             if sub is None:
                 sub = _realize(right, site_k)
             total += sub[3]
             subs.append(sub)
-            i -= 1
-            pieces.append(sub[2])
-            pieces.append(template[i])
-        j = jvec[0]
     if tail.sym[0] == "n":
         sub = tail.reals.get(j)
         if sub is None:
             sub = _realize(tail, j)
         total += sub[3]
         subs.append(sub)
-        pieces.append(sub[2])
-        pieces.append(template[0])
     if subs:
-        pieces.reverse()
-        bracketed = "".join(pieces)
+        bracketed = rule.form % tuple([sub[2] for sub in reversed(subs)])
     else:
-        bracketed = template[0]
+        bracketed = rule.fragment.key
     result = item.reals[k] = (rule.fragment, subs, bracketed, total)
     return result
 
@@ -563,11 +555,13 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     """Up to n distinct derivations, best first; [] when there is no parse.
 
     The first derivation is the exact Viterbi best over the unpruned part
-    of the forest. Each derivation carries its tree as a bracketed string;
-    no Tree is built here. Probabilities are recomputed from the fragments
-    as exact sums, rounded once, then checked against the extraction
-    scores. The search state (derivs, cand, pending, reals) lives on the
-    chart items, so a second call on the same chart resumes it.
+    of the forest. The start items' derivations are merged through one
+    heap of (-logprob, start index, k), so equal scores keep start-item
+    order. Each derivation carries its tree as a bracketed string; no Tree
+    is built here. Probabilities are recomputed from the fragments as
+    exact sums, rounded once, then checked against the extraction scores.
+    The search state (derivs, cand, pending, reals) lives on the chart
+    items, so a second call on the same chart resumes it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -577,23 +571,31 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
         raise CyclicGrammarError(
             "unary fragment cycle through %r; the derivation set is infinite"
             % chart.unary_cycle)
-    goal = ChartItem(("g", None), (0, len(chart.sentence)))
-    goal.edges = [(None, (item,), 0.0) for item in chart.start_items]
+    starts = chart.start_items
+    heap = []
+    for index, item in enumerate(starts):
+        first = _get_kth(item, 0)
+        if first is not None:
+            heappush(heap, (first[0], index, 0))
     result = []
-    for k in range(n):
-        deriv = _get_kth(goal, k)
-        if deriv is None:
-            break
-        score, edge_idx, jvec = deriv
-        start_item, j = goal.edges[edge_idx][1][0], jvec[0]
-        realized = start_item.reals.get(j)
+    while heap:
+        neg, index, k = heap[0]
+        start_item = starts[index]
+        realized = start_item.reals.get(k)
         if realized is None:
-            realized = _realize(start_item, j)
+            realized = _realize(start_item, k)
         logprob = _unscaled(realized[3])
-        if not math.isclose(logprob, score, rel_tol=1e-9, abs_tol=1e-9):
+        if not math.isclose(logprob, -neg, rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(
-                "derivation probability drift: %r vs %r" % (logprob, score))
+                "derivation probability drift: %r vs %r" % (logprob, -neg))
         result.append(Derivation(logprob, realized[2], realized))
+        if len(result) == n:
+            break
+        following = _get_kth(start_item, k + 1)
+        if following is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (following[0], index, k + 1))
     return result
 
 

@@ -5,9 +5,10 @@ the parse hashes before the derivation layer stopped building a tree per
 derivation, the model and experiment hashes before the duplicate
 fragment-collection, bracket-writing and parse-entry paths were removed,
 the chart hash before the binary step stopped visiting dotted right items,
-the sampled-fragment hash before the sampler moved to per-tree height lists.
-Any change to model bytes, parse choices, probabilities or chart contents
-shows up here.
+the sampled-fragment hash before the sampler moved to per-tree height lists,
+the n-best hash before derivations became their heap entries and the goal
+item went. Any change to model bytes, parse choices, probabilities, chart
+contents or derivation order shows up here.
 """
 
 import hashlib
@@ -25,6 +26,8 @@ STATS_SHA256 = (
     "c1a922962df745cceb210298423dad18a96b3a63fe961dc7bca83963c33e0c0c")
 CHART_SHA256 = (
     "2c50f05e2a9d07dcfc5d5c1716cf2cc0d60d77a164871ba83f6020401ffdba64")
+NBEST_SHA256 = (
+    "c57331e48cc7820ebff7fd23982ba8e5bac8536e71a47c2579c375803d840afb")
 SAMPLED_MODEL_SHA256 = (
     "5d45c83db43bc9f4bfbc95d10169d0c18fdf712728754b3429c7d57226d8ef34")
 EXHAUSTIVE_MODEL_SHA256 = (
@@ -95,6 +98,21 @@ def test_golden_chart(tmp_path, capsys):
                          for rule, tails, _ in item.edges]
                 lines.append("%r %r %r" % (sym, item.inside, edges))
     assert _sha256("\n".join(lines)) == CHART_SHA256
+
+
+def test_golden_nbest_derivations(tmp_path, capsys):
+    # every derivation at n = 1000, in order, with its exact logprob and
+    # fragments: PARSE_SHA256 sees only each winner and %.6g probabilities
+    model, sents = _golden_model_and_sentences(tmp_path)
+    parser = SentenceParser(load_model(model), n_best=1000)
+    lines = []
+    for words in (line.split() for line in sents.read_text().splitlines()):
+        lines.append(" ".join(words))
+        lines.extend("%r %s %s" % (d.logprob, d.bracketed,
+                                   " ".join(f.key for f in d.fragments))
+                     for d in parser.derivations(words))
+    assert len(lines) == 30 + 12033
+    assert _sha256("\n".join(lines)) == NBEST_SHA256
 
 
 def test_golden_sampled_fragments():

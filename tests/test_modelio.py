@@ -1,8 +1,8 @@
 import pytest
 
-from dop import (RestrictionSet, build_model, extract_treebank,
-                 good_turing_adjust, model_from_text, model_to_text,
-                 read_treebank, train_unknown_model)
+from dop import (Fragment, RestrictionSet, Site, build_model,
+                 extract_treebank, good_turing_adjust, model_from_text,
+                 model_to_text, read_treebank, train_unknown_model)
 from dop.modelio import ModelFormatError, load_model, write_model
 from conftest import TOY_HEAD_RULES
 
@@ -23,6 +23,22 @@ def test_round_trip_preserves_everything(toy_model, toy_treebank):
     assert loaded.unknown_words.open_class == toy_model.unknown_words.open_class
     assert (loaded.unknown_words.suffix_stats
             == toy_model.unknown_words.suffix_stats)
+
+
+def test_loaded_frontiers_share_sites_and_words(toy_model):
+    # one Site object per label and one string per word, in every frontier
+    loaded = model_from_text(model_to_text(toy_model))
+    np_sites = [item for key in ("(S (NP) (VP))", "(VP (V likes) (NP))")
+                for item in loaded.entries[key].fragment.frontier
+                if item == Site("NP")]
+    assert len(np_sites) == 2 and np_sites[0] is np_sites[1]
+    first = {}
+    for entry in loaded.entries.values():
+        for item in entry.fragment.frontier:
+            assert first.setdefault(item, item) is item
+    # a frontier read lazily from a key shares them too
+    lazy = Fragment("(S (NP mary) (VP))").frontier
+    assert lazy[0] is first["mary"] and lazy[1] is first[Site("VP")]
 
 
 def test_serialization_deterministic_and_stable(toy_model):

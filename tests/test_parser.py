@@ -140,6 +140,53 @@ def test_nbest_resumes_on_the_same_chart(toy_model):
     assert all(item.cand is None for item in chart.start_items)
 
 
+def test_nbest_ties_across_start_labels_keep_label_order():
+    # all six derivations of "w" score log 1/3, three under each start
+    # label; order recorded before the goal item was removed
+    model = model_from("(A w)\n(A (C w))\n(B w)\n(B (C w))\n",
+                       start={"A", "B"})
+    chart = ChartParser(to_rules(model), start_labels=model.start_labels,
+                        prune_ratio=1e-300).chart(["w"])
+    assert [item.label for item in chart.start_items] == ["A", "B"]
+    derivations = nbest_derivations(chart, 100)
+    assert {d.logprob for d in derivations} == {math.log(1 / 3)}
+    assert [[f.key for f in d.fragments] for d in derivations] == [
+        ["(A (C w))"], ["(A w)"], ["(A (C))", "(C w)"],
+        ["(B (C w))"], ["(B w)"], ["(B (C))", "(C w)"]]
+
+
+def test_nbest_realizes_percent_signs_verbatim():
+    # bracketed strings fill per-rule format strings, which must leave the
+    # words' % signs as they are; expected lists recorded when realizing
+    # joined the key's pieces instead
+    model = model_from("(S (A %) (B %s))\n(S (A %%d) (B (C %s%%)))\n")
+    expected = {
+        ("%", "%s"): ("(S (A %) (B %s))", [
+            (-2.302585092994046, ["(S (A %) (B %s))"]),
+            (-2.9957322735539913, ["(S (A) (B %s))", "(A %)"]),
+            (-3.4011973816621555, ["(S (A) (B))", "(A %)", "(B %s)"]),
+            (-3.401197381662156, ["(S (A %) (B))", "(B %s)"])]),
+        ("%%d", "%s%%"): ("(S (A %%d) (B (C %s%%)))", [
+            (-2.302585092994046, ["(S (A %%d) (B (C %s%%)))"]),
+            (-2.302585092994046, ["(S (A %%d) (B (C)))", "(C %s%%)"]),
+            (-2.9957322735539913, ["(S (A) (B (C %s%%)))", "(A %%d)"]),
+            (-2.9957322735539913,
+             ["(S (A) (B (C)))", "(A %%d)", "(C %s%%)"]),
+            (-3.4011973816621555, ["(S (A) (B))", "(A %%d)",
+                                   "(B (C %s%%))"]),
+            (-3.4011973816621555, ["(S (A) (B))", "(A %%d)", "(B (C))",
+                                   "(C %s%%)"]),
+            (-3.401197381662156, ["(S (A %%d) (B))", "(B (C %s%%))"]),
+            (-3.401197381662156, ["(S (A %%d) (B))", "(B (C))",
+                                  "(C %s%%)"])]),
+    }
+    for words, (bracketed, derivations) in expected.items():
+        got = nbest(model, list(words))
+        assert ([(d.logprob, [f.key for f in d.fragments]) for d in got]
+                == derivations)
+        assert {d.bracketed for d in got} == {bracketed}
+
+
 def test_parse_leaves_no_reference_cycles(toy_treebank, toy_model):
     # the premise of parsing each sentence with the collector paused:
     # reference counting alone frees a parse's chart and derivations
