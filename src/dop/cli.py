@@ -14,7 +14,9 @@ import sys
 import time
 from collections import Counter
 
-from .fragments import (RestrictionSet, depth1_fragment, depth1_key,
+# depth1_fragment is not called here: extract_treebank counts depth 1 by
+# key. perfbench/run.py wraps cli.depth1_fragment, so the name stays.
+from .fragments import (RestrictionSet, depth1_fragment,  # noqa: F401
                         extract_treebank, sample_fragments)
 from .heads import HeadRuleTable, default_head_rules
 from .model import (GrammarError, build_model, good_turing_adjust,
@@ -214,53 +216,30 @@ def _read_normalized_treebank(path):
 def collect_fragments(treebank, restriction, seed, cache=None):
     """Fragment multiset per the training recipe, plus per-depth tallies.
 
-    Depth-1 rewrites are always exhaustive. With a sample_per_depth bound,
-    each deeper level up to max_depth (clipped to the deepest tree) gets
-    its own random sample; without one, extraction is exhaustive at every
-    depth. The cache, when given, is keyed by depth (or "exhaustive") so
-    sweeps reuse extractions across grid points; it must only ever see
-    this treebank, seed and sample size.
+    Each depth from 1 to max_depth (clipped to the deepest tree) is one
+    count of fragments of exactly that depth: extracted exhaustively at
+    depth 1 and wherever sample_per_depth is None, otherwise drawn by
+    `sample_fragments` from seed + depth. The cache, when given, is keyed
+    by depth so sweeps reuse each depth across grid points; it must only
+    ever see this treebank, seed and sample size.
     """
     if cache is None:
         cache = {}
     per_depth = restriction.sample_per_depth
-    fragments = Counter()
-    depth_counts = Counter()
-    if per_depth is None:
-        if "exhaustive" not in cache:
-            cache["exhaustive"] = extract_treebank(treebank)
-        fragments.update(cache["exhaustive"])
-        for fragment, count in fragments.items():
-            depth_counts[fragment.depth] += count
-        return fragments, dict(depth_counts)
-
-    if 1 not in cache:
-        # keys are counted per node; a Fragment is built once per type
-        counts = {}
-        types = []
-        for nodes in treebank.nodes:
-            for node in nodes:
-                text = depth1_key(node)
-                seen = counts.get(text)
-                if seen is None:
-                    types.append(depth1_fragment(node))
-                    counts[text] = 1
-                else:
-                    counts[text] = seen + 1
-        cache[1] = Counter(dict(zip(types, counts.values())))
-    fragments.update(cache[1])
-    depth_counts[1] = sum(cache[1].values())
-
     corpus_max = max(heights[0] for heights in treebank.heights)
-    top = corpus_max if restriction.max_depth is None else min(
-        restriction.max_depth, corpus_max)
-    for depth in range(2, top + 1):
+    top = min(restriction.max_depth or corpus_max, corpus_max)
+    fragments = Counter()
+    depth_counts = {}
+    for depth in range(1, top + 1):
         if depth not in cache:
-            cache[depth] = sample_fragments(treebank, depth, per_depth,
-                                            seed + depth)
+            if depth == 1 or per_depth is None:
+                cache[depth] = extract_treebank(treebank, depth)
+            else:
+                cache[depth] = sample_fragments(treebank, depth, per_depth,
+                                                seed + depth)
         fragments.update(cache[depth])
         depth_counts[depth] = sum(cache[depth].values())
-    return fragments, dict(depth_counts)
+    return fragments, depth_counts
 
 
 def _train_model(treebank, restriction, options, cache=None):

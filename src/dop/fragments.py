@@ -18,9 +18,10 @@ import re
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, compress, product
+from math import prod
 
-from .tree import _TOKEN, Site, Tree, Treebank, _tokenize
+from .tree import _TOKEN, Site, Tree, Treebank, _bottom_up, _tokenize
 from .heads import HeadRuleTable
 
 
@@ -30,10 +31,6 @@ class FragmentOverflowError(ValueError):
 
 class SamplingError(ValueError):
     """No node in the treebank supports the requested fragment depth."""
-
-
-def _node_label(child):
-    return child.label if isinstance(child, (Tree, Site)) else None
 
 
 # In a canonical key a site is the only "(label)" without a space, and a
@@ -189,24 +186,15 @@ def _read_key(text, build=False):
     return node if build else None, tuple(frontier), key
 
 
-def count_fragments(tree: Tree) -> int:
-    """Number of fragments of a corpus tree, by the per-node product formula.
+def count_fragments(tree: Tree, depth: int | None = None) -> int:
+    """Number of fragments of a corpus tree with exactly `depth` levels (of
+    any depth when None), by the per-node product formula.
 
-    Fragments rooted at node n: the product over children c of
-    (1 + fragments rooted at c), words contributing the bare factor 1.
+    g_k(n), the fragments of at most k levels rooted at node n, is the
+    product over children c of (1 + g_{k-1}(c)), with g_0 = 0 and a word
+    contributing the bare factor 1; g_k - g_{k-1} have exactly k levels.
     """
-    per_node = {}
-
-    def f(node):
-        result = 1
-        for child in node.children:
-            if isinstance(child, Tree):
-                result *= 1 + f(child)
-        per_node[id(node)] = result
-        return result
-
-    f(tree)
-    return sum(per_node[id(n)] for n in tree.subtrees())
+    return _count(list(tree.subtrees()), depth)
 
 
 def depth1_fragment(node: Tree) -> Fragment:
@@ -223,44 +211,82 @@ def depth1_key(node: Tree) -> str:
                         " ".join(["(%s)" % child.label for child in children]))
 
 
-def extract_all(tree: Tree, cap: int = 10**6) -> Counter:
-    """Every fragment of the tree, with one count per (root node, cut).
+def _count(nodes, depth):
+    """count_fragments over a tree's preorder node list."""
+    if depth is not None and depth < 1:
+        raise ValueError("depth must be >= 1 or None")
+    levels = _bottom_up(nodes, _level_counts, depth)
+    if depth is None:
+        return sum(g[-1] for g in levels)
+    return sum(g[depth] - g[depth - 1] for g in levels if len(g) > depth)
 
-    Raises FragmentOverflowError when the tree holds more than `cap`
-    fragments; use sample_fragments on such corpora.
-    """
-    total = count_fragments(tree)
+
+def _level_counts(node, below, depth):
+    """[g_0, g_1, ...] at a node, up to its height and `depth`: g_k is the
+    same for every k from the height on."""
+    g = [0, 1]
+    size = 1 + max(map(len, below), default=1)
+    for k in range(2, size if depth is None else min(size, depth + 1)):
+        g.append(prod(1 + c[min(k - 1, len(c) - 1)] for c in below))
+    return g
+
+
+def _level_keys(node, below, depth):
+    """(keys, levels) of the fragments of at most `depth` levels at a node
+    (all, when None), in the order of the product of each child's choices:
+    its site, or one of its fragments of fewer levels."""
+    if not below:
+        return [depth1_key(node)], [1]
+    keys, levels = [], []
+    for child, (child_keys, child_levels) in zip(node.children, below):
+        keep = [depth is None or level < depth for level in child_levels]
+        keys.append(("(%s)" % child.label, *compress(child_keys, keep)))
+        levels.append((0, *compress(child_levels, keep)))
+    return (["(%s %s)" % (node.label, " ".join(choice))
+             for choice in product(*keys)],
+            [1 + max(choice) for choice in product(*levels)])
+
+
+def _fragment_keys(nodes, depth, cap):
+    """Keys of a tree's fragments of exactly `depth` levels (all, when
+    None), by root node in preorder; the cap is checked on their count
+    before any key is built."""
+    total = len(nodes) if depth == 1 else _count(nodes, depth)
     if total > cap:
         raise FragmentOverflowError(
-            "tree has %d fragments, above the cap of %d; "
-            "use sample_fragments instead" % (total, cap))
-    memo = {}
-
-    def expansions(node):
-        """The keys of the fragments rooted at a node."""
-        got = memo.get(id(node))
-        if got is None:
-            # each child is its word, or its site or one of its keys
-            options = [(child,) if isinstance(child, str)
-                       else ("(%s)" % child.label, *expansions(child))
-                       for child in node.children]
-            got = memo[id(node)] = ["(%s %s)" % (node.label, " ".join(choice))
-                                    for choice in product(*options)]
-        return got
-
-    result = Counter()
-    for node in tree.subtrees():
-        for key in expansions(node):
-            result[Fragment(key)] += 1
-    return result
+            "tree has %d fragments%s, above the cap of %d; use "
+            "sample_fragments instead"
+            % (total, "" if depth is None else " of depth %d" % depth, cap))
+    if depth == 1:
+        return map(depth1_key, nodes)
+    tagged = _bottom_up(nodes, _level_keys, depth) if total else ()
+    return [key for keys, levels in tagged for key, level in zip(keys, levels)
+            if depth is None or level == depth]
 
 
-def extract_treebank(treebank: Treebank, cap: int = 10**6) -> Counter:
-    """extract_all summed over every tree."""
-    result = Counter()
-    for tree in treebank.trees:
-        result.update(extract_all(tree, cap=cap))
-    return result
+def _tally(keys) -> Counter:
+    """Fragment counts from canonical keys: the keys are counted first, and
+    a Fragment is built once per type, in first-seen order."""
+    return Counter({Fragment(key): count
+                    for key, count in Counter(keys).items()})
+
+
+def extract_all(tree: Tree, depth: int | None = None,
+                cap: int = 10**6) -> Counter:
+    """Every fragment of the tree with exactly `depth` levels (of any depth
+    when None), with one count per (root node, cut).
+
+    Raises FragmentOverflowError when the tree holds more than `cap` such
+    fragments; use sample_fragments on such corpora.
+    """
+    return _tally(_fragment_keys(list(tree.subtrees()), depth, cap))
+
+
+def extract_treebank(treebank: Treebank, depth: int | None = None,
+                     cap: int = 10**6) -> Counter:
+    """extract_all summed over every tree; the cap holds per tree."""
+    return _tally(chain.from_iterable(
+        _fragment_keys(nodes, depth, cap) for nodes in treebank.nodes))
 
 
 def sample_fragments(treebank: Treebank, depth: int, count: int,
@@ -296,32 +322,25 @@ def sample_fragments(treebank: Treebank, depth: int, count: int,
     tree_bits = n_trees.bit_length()
     draw_lists = [(heights, len(heights), len(heights).bit_length())
                   for heights in height_lists]
-    counts = {}              # canonical key -> draws
-    types = []               # one Fragment per key, in first-drawn order
-    produced = 0
-    while produced < count:
-        ti = getrandbits(tree_bits)
-        while ti >= n_trees:
-            ti = getrandbits(tree_bits)
-        heights, n_nodes, node_bits = draw_lists[ti]
-        ni = getrandbits(node_bits)
-        while ni >= n_nodes:
-            ni = getrandbits(node_bits)
-        if heights[ni] < depth:
-            continue
-        top = _grow(node_lists[ti][ni], depth, rng)
-        key = _site_key(top)
-        drawn = counts.get(key)
-        if drawn is None:
-            fragment = Fragment(key)
-            # equal keys are equal fragments: one check covers every draw
-            assert fragment.depth == depth
-            types.append(fragment)
-            counts[key] = 1
-        else:
-            counts[key] = drawn + 1
-        produced += 1
-    return Counter(dict(zip(types, counts.values())))
+
+    def draws():
+        for _ in range(count):
+            while True:
+                ti = getrandbits(tree_bits)
+                while ti >= n_trees:
+                    ti = getrandbits(tree_bits)
+                heights, n_nodes, node_bits = draw_lists[ti]
+                ni = getrandbits(node_bits)
+                while ni >= n_nodes:
+                    ni = getrandbits(node_bits)
+                if heights[ni] >= depth:
+                    break
+            yield _site_key(_grow(node_lists[ti][ni], depth, rng))
+
+    fragments = _tally(draws())
+    # equal keys are equal fragments: one check per type covers every draw
+    assert all(fragment.depth == depth for fragment in fragments)
+    return fragments
 
 
 def _grow(root: Tree, target: int, rng: random.Random) -> list:
@@ -391,7 +410,8 @@ def headword(fragment: Fragment, rules: HeadRuleTable) -> str | None:
     while True:
         if node.is_preterminal:
             return node.word
-        labels = [_node_label(c) for c in node.children]
+        labels = [c.label if isinstance(c, (Tree, Site)) else None
+                  for c in node.children]
         head = node.children[rules.head_index(node.label, labels)]
         if isinstance(head, Site):
             return None

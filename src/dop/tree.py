@@ -104,13 +104,7 @@ class Tree:
 
     def depth(self):
         """Edges on the longest path from this node down to a word or site."""
-        depth = 0
-        level = [self]
-        while level:
-            depth += 1
-            level = [child for node in level for child in node.children
-                     if isinstance(child, Tree)]
-        return depth
+        return _bottom_up(list(self.subtrees()), _height)[0]
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -147,7 +141,7 @@ class Treebank:
     @cached_property
     def heights(self) -> tuple:
         """`Tree.depth` of each node in `nodes`, one list per tree."""
-        return tuple(_heights(nodes) for nodes in self.nodes)
+        return tuple(_bottom_up(nodes, _height) for nodes in self.nodes)
 
     @cached_property
     def vocabulary(self) -> Counter:
@@ -162,22 +156,25 @@ class Treebank:
         return len(self.trees)
 
 
-def _heights(nodes):
-    """`Tree.depth` of each node of a preorder list, in one bottom-up pass.
-
-    Walked backwards, a preorder list meets each node right after the
-    subtrees of all its children, so their heights are on top of the stack.
-    """
-    heights = [0] * len(nodes)
+def _bottom_up(nodes, value, *args):
+    """`value(node, its child nodes' values, *args)` for each node of a
+    preorder list, without recursion: walked backwards, the list meets each
+    node right after its children's subtrees, so their values are on top
+    of the stack."""
+    values = [None] * len(nodes)
     stack = []
     for i in range(len(nodes) - 1, -1, -1):
-        best = 0
-        for child in nodes[i].children:
-            if isinstance(child, Tree):
-                best = max(best, stack.pop())
-        heights[i] = best + 1
-        stack.append(best + 1)
-    return heights
+        node = nodes[i]
+        children = node.children
+        below = () if isinstance(children[0], str) else [
+            stack.pop() for child in children if isinstance(child, Tree)]
+        values[i] = got = value(node, below, *args)
+        stack.append(got)
+    return values
+
+
+def _height(node, below):
+    return 1 + max(below, default=0)
 
 
 # a bracket, or a run of anything else that is not whitespace; `\s` is
@@ -252,16 +249,20 @@ def write_tree(tree: Tree) -> str:
     >>> write_tree(read_trees("(S  (NP john)\\n (VP (V sleeps)))")[0])
     '(S (NP john) (VP (V sleeps)))'
     """
-    parts = ["(", tree.label]
-    for child in tree.children:
-        parts.append(" ")
-        if isinstance(child, Tree):
-            parts.append(write_tree(child))
-        elif isinstance(child, Site):
-            parts.append("(%s)" % child.label)
+    # one child iterator per open node, as in `constituents`
+    parts = ["(" + tree.label]
+    stack = [iter(tree.children)]
+    while stack:
+        for child in stack[-1]:
+            if isinstance(child, Tree):
+                parts.append(" (" + child.label)
+                stack.append(iter(child.children))
+                break
+            parts.append(" (%s)" % child.label if isinstance(child, Site)
+                         else " " + child)
         else:
-            parts.append(child)
-    parts.append(")")
+            stack.pop()
+            parts.append(")")
     return "".join(parts)
 
 

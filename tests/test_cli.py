@@ -138,6 +138,38 @@ def test_train_deep_unary_chain(tmp_path, capsys):
     assert "depth 3: 10 fragment tokens" in out
 
 
+def test_train_exhaustive_deep_unary_chain(tmp_path, capsys):
+    # exhaustive extraction walks the 3000 levels without recursing, and
+    # only to --max-depth: each node below the top two adds a fragment of
+    # each depth 1-3
+    key, _ = unary_chain_model(3000)
+    train = tmp_path / "chain.mrg"
+    train.write_text(key + "\n")
+    model = tmp_path / "chain.dopmodel"
+    code = main(["train", "--train", str(train), "--model", str(model),
+                 "--max-depth", "3", "--sample-per-depth", "none"])
+    assert code == 0
+    assert len(load_model(model).entries) == 3000 + 2999 + 2998
+    out = capsys.readouterr().out
+    assert "depth 3: 2998 fragment tokens" in out
+    assert "depth 4" not in out
+
+
+def test_train_exhaustive_caps_each_depth(tmp_path, capsys):
+    # the tree holds 5**12 fragments at its root, far above the cap, but
+    # only 4131 of depth 2 and 37 of depth 1
+    train = tmp_path / "wide.mrg"
+    train.write_text("(S%s)\n" % (" (A (B w) (C w))" * 12))
+    model = tmp_path / "wide.dopmodel"
+    code = main(["train", "--train", str(train), "--model", str(model),
+                 "--max-depth", "2", "--sample-per-depth", "none"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "depth 1: 37 fragment tokens" in out
+    assert "depth 2: 4131 fragment tokens" in out
+    assert "depth 3" not in out
+
+
 def test_score_deep_unary_chain(tmp_path, capsys):
     # constituents walks the 3000 levels without recursing
     key, _ = unary_chain_model(3000)

@@ -10,7 +10,7 @@ from dop import (Fragment, FragmentOverflowError, RestrictionSet,
                  SamplingError, Site, Tree, depth1_fragment, extract_all,
                  extract_treebank, headword, nonheadword_count, passes,
                  Treebank, read_trees, sample_fragments, write_tree)
-from dop.fragments import depth1_key
+from dop.fragments import count_fragments, depth1_key
 from conftest import TOY_HEAD_RULES, random_tree, unary_chain_model
 
 
@@ -85,6 +85,85 @@ def test_extract_matches_product_formula_and_subset_oracle():
         got = extract_all(tree)
         oracle = subset_enumeration_fragments(tree)
         assert got == oracle
+
+
+def cut_set_fragments(tree):
+    """Independent oracle: (key, depth) of every fragment, with counts.
+
+    A fragment is a root node and a cut set: the root's proper descendants
+    that are expanded, each with its parent expanded too. Every subset of
+    the descendants is tried. Keys and depths are written here, with no
+    Fragment and no write_tree.
+    """
+    labels, words, kids, parents, levels = [], [], [], [], []
+
+    def walk(node, parent, level):
+        index = len(labels)
+        labels.append(node.label)
+        parents.append(parent)
+        levels.append(level)
+        words.append(node.children[0] if node.is_preterminal else None)
+        kids.append([])
+        if parent is not None:
+            kids[parent].append(index)
+        if not node.is_preterminal:
+            for child in node.children:
+                walk(child, index, level + 1)
+
+    walk(tree, None, 0)
+
+    def write(index, expanded):
+        if index not in expanded:
+            return "(%s)" % labels[index]
+        if words[index] is not None:
+            return "(%s %s)" % (labels[index], words[index])
+        return "(%s %s)" % (labels[index], " ".join(
+            write(kid, expanded) for kid in kids[index]))
+
+    def below(index):
+        return [i for kid in kids[index] for i in [kid, *below(kid)]]
+
+    result = Counter()
+    for root in range(len(labels)):
+        candidates = below(root)
+        for mask in range(2 ** len(candidates)):
+            expanded = {root} | {i for bit, i in enumerate(candidates)
+                                 if mask >> bit & 1}
+            if all(i == root or parents[i] in expanded for i in expanded):
+                depth = 1 + max(levels[i] - levels[root] for i in expanded)
+                result[(write(root, expanded), depth)] += 1
+    return result
+
+
+def test_exact_depth_extraction_matches_cut_set_enumeration():
+    rng = random.Random(202)
+    for _ in range(40):
+        tree = random_tree(rng, max_internal=10, max_depth=5)
+        oracle = cut_set_fragments(tree)
+        for depth in range(1, 6):
+            want = Counter({key: count for (key, level), count
+                            in oracle.items() if level == depth})
+            got = extract_all(tree, depth)
+            assert {f.key: count for f, count in got.items()} == want
+            assert all(f.depth == depth for f in got)
+            assert count_fragments(tree, depth) == sum(want.values())
+        assert count_fragments(tree) == sum(oracle.values())
+
+
+def test_exact_depth_cap_counts_only_that_depth():
+    # 12 children (A (B w) (C w)): 5**12 fragments at the root, but only
+    # 2**12 - 1 of depth 2 there and 3 under each A
+    wide = read_trees("(S%s)" % (" (A (B w) (C w))" * 12))[0]
+    assert count_fragments(wide, 2) == 4095 + 12 * 3
+    with pytest.raises(FragmentOverflowError):
+        extract_all(wide)
+    assert sum(extract_all(wide, 2).values()) == 4131
+    with pytest.raises(FragmentOverflowError, match="of depth 2"):
+        extract_all(wide, 2, cap=4130)
+    assert extract_treebank(Treebank((wide,)), 2) == extract_all(wide, 2)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="depth must be"):
+            extract_all(wide, bad)
 
 
 def test_extract_overflow_cap():

@@ -13,6 +13,8 @@ contents or derivation order shows up here.
 
 import hashlib
 
+import pytest
+
 from dop.cli import main
 from dop.fragments import dump_fragments, sample_fragments
 from dop.modelio import load_model
@@ -56,7 +58,10 @@ def _write_bank(path, n_trees, seed, max_words=9):
     return path
 
 
-def _golden_model_and_sentences(tmp_path):
+@pytest.fixture(scope="module")
+def golden_model(tmp_path_factory):
+    """(model, sentences) paths, trained once for the tests that share them."""
+    tmp_path = tmp_path_factory.mktemp("golden")
     train = _write_bank(tmp_path / "train.mrg", 80, seed=5)
     model = tmp_path / "m.dopmodel"
     assert main(["train", "--train", str(train), "--model", str(model),
@@ -68,8 +73,8 @@ def _golden_model_and_sentences(tmp_path):
     return model, sents
 
 
-def test_golden_parse_output(tmp_path, capsys):
-    model, sents = _golden_model_and_sentences(tmp_path)
+def test_golden_parse_output(golden_model, tmp_path, capsys):
+    model, sents = golden_model
     out = tmp_path / "out.txt"
     stats = tmp_path / "stats.tsv"
     assert main(["parse", "--model", str(model), "--input", str(sents),
@@ -83,9 +88,9 @@ def test_golden_parse_output(tmp_path, capsys):
     assert _sha256(columns) == STATS_SHA256
 
 
-def test_golden_chart(tmp_path, capsys):
+def test_golden_chart(golden_model):
     # every cell's items in order, with their edges and Viterbi inside scores
-    model, sents = _golden_model_and_sentences(tmp_path)
+    model, sents = golden_model
     parser = SentenceParser(load_model(model))
     lines = []
     for words in (line.split() for line in sents.read_text().splitlines()):
@@ -100,10 +105,10 @@ def test_golden_chart(tmp_path, capsys):
     assert _sha256("\n".join(lines)) == CHART_SHA256
 
 
-def test_golden_nbest_derivations(tmp_path, capsys):
+def test_golden_nbest_derivations(golden_model):
     # every derivation at n = 1000, in order, with its exact logprob and
     # fragments: PARSE_SHA256 sees only each winner and %.6g probabilities
-    model, sents = _golden_model_and_sentences(tmp_path)
+    model, sents = golden_model
     parser = SentenceParser(load_model(model), n_best=1000)
     lines = []
     for words in (line.split() for line in sents.read_text().splitlines()):

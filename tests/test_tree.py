@@ -88,6 +88,14 @@ def test_deep_unary_chain_treebank():
     assert bank.vocabulary == {"w": 1}
 
 
+def test_deep_unary_chain_round_trips():
+    # write_tree keeps its own stack: no recursion per tree level
+    key, _ = unary_chain_model(3000)
+    tree = read_trees(key)[0]
+    assert write_tree(tree) == key
+    assert repr(tree) == "Tree(%s)" % key
+
+
 def test_deep_unary_chain_depth_and_normalize():
     key, _ = unary_chain_model(3000)
     tree = read_trees(key.replace("(X1 ", "(X1-SBJ "))[0]
