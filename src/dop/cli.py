@@ -8,7 +8,6 @@ file of key=value lines; explicit command-line values win.
 import argparse
 import dataclasses
 import gc
-import multiprocessing
 import os
 import sys
 import time
@@ -337,6 +336,9 @@ def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
     with collector_paused():
         parser = SentenceParser(model, n_best=n_best, prune_ratio=prune_ratio)
     if workers > 1 and len(sentences) > 1:
+        # imported here: no other command, nor a one-worker parse, pays
+        # for the import
+        import multiprocessing
         with multiprocessing.Pool(workers, initializer=_worker_init,
                                   initargs=(parser,)) as pool:
             return pool.map(_worker_parse, sentences)

@@ -18,6 +18,7 @@ import re
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain, compress, product
 from math import prod
 
@@ -133,8 +134,15 @@ def _read_key(text, build=False):
 
     The structure is built only when asked for, and is None otherwise. The
     canonical key is the tokens rejoined with single spaces, none just
-    inside a bracket: what `write_tree` makes of the structure.
+    inside a bracket: what `write_tree` makes of the structure. A key that
+    is already canonical, as every key `dop train` writes is, has its
+    frontier read piece by piece instead (see _canonical_frontier).
     """
+    if not build:
+        frontier = _canonical_frontier(text)
+        if frontier is not None:
+            return None, frontier, text
+
     def fail(msg):
         raise ValueError("bad fragment key %r: %s" % (text, msg))
 
@@ -184,6 +192,70 @@ def _read_key(text, build=False):
         fail("unbalanced")
     key = " ".join(tokens).replace("( ", "(").replace(" )", ")")
     return node if build else None, tuple(frontier), key
+
+
+def _canonical_frontier(text):
+    """The frontier of a well-formed canonical key, or None for any other
+    text, which _read_key then reads token by token.
+
+    A canonical key splits at its spaces into pieces of three kinds (see
+    _piece). A word piece must follow an opening one, which makes the word
+    its node's only child, and the root's closing bracket must be the
+    key's last.
+    """
+    if not text.isprintable():     # the space is the only printable blank
+        return None
+    pieces = text.split(" ")
+    last = len(pieces) - 1
+    frontier = []
+    depth = 0
+    opened = False
+    for i, piece in enumerate(pieces):
+        kind = _piece(piece)
+        if kind is _OPENING:
+            depth += 1
+            opened = True
+            continue
+        if kind is None:
+            return None
+        change, item, word = kind
+        if word and not opened:
+            return None
+        frontier.append(item)
+        depth += change
+        opened = False
+        if depth <= 0 and (depth < 0 or i != last):
+            return None
+    if depth != 0 or last == 0:
+        return None
+    return tuple(frontier)
+
+
+_OPENING = (1, None, False)
+
+
+@lru_cache(maxsize=1 << 16)
+def _piece(piece):
+    """What a space-separated piece of a canonical key holds: _OPENING for
+    "(label", which opens a node with children; (depth change, site, False)
+    for "(label)" and (depth change, word, True) for "word)", each followed
+    by the closes of its ancestors; None for a piece no canonical key
+    holds. Keys share most of their pieces, so the cache reads each once."""
+    end = piece.find(")")
+    if end < 0:
+        if piece.rfind("(") != 0 or len(piece) == 1:
+            return None
+        return _OPENING
+    closes = len(piece) - end
+    if piece.count(")") != closes:
+        return None
+    if piece[0] == "(":
+        if piece.rfind("(") != 0 or end == 1:
+            return None
+        return 1 - closes, _site(piece[1:end]), False
+    if end == 0 or "(" in piece:
+        return None
+    return -closes, sys.intern(piece[:end]), True
 
 
 def count_fragments(tree: Tree, depth: int | None = None) -> int:
@@ -264,11 +336,17 @@ def _fragment_keys(nodes, depth, cap):
             if depth is None or level == depth]
 
 
-def _tally(keys) -> Counter:
+def _tally(keys, depth=None) -> Counter:
     """Fragment counts from canonical keys: the keys are counted first, and
-    a Fragment is built once per type, in first-seen order."""
-    return Counter({Fragment(key): count
-                    for key, count in Counter(keys).items()})
+    a Fragment is built once per type, in first-seen order. A depth, when
+    given, is every key's, and each Fragment keeps it."""
+    fragments = Counter()
+    for key, count in Counter(keys).items():
+        fragment = Fragment(key)
+        if depth is not None:
+            object.__setattr__(fragment, "_depth", depth)
+        fragments[fragment] = count
+    return fragments
 
 
 def extract_all(tree: Tree, depth: int | None = None,
@@ -279,14 +357,14 @@ def extract_all(tree: Tree, depth: int | None = None,
     Raises FragmentOverflowError when the tree holds more than `cap` such
     fragments; use sample_fragments on such corpora.
     """
-    return _tally(_fragment_keys(list(tree.subtrees()), depth, cap))
+    return _tally(_fragment_keys(list(tree.subtrees()), depth, cap), depth)
 
 
 def extract_treebank(treebank: Treebank, depth: int | None = None,
                      cap: int = 10**6) -> Counter:
     """extract_all summed over every tree; the cap holds per tree."""
     return _tally(chain.from_iterable(
-        _fragment_keys(nodes, depth, cap) for nodes in treebank.nodes))
+        _fragment_keys(nodes, depth, cap) for nodes in treebank.nodes), depth)
 
 
 def sample_fragments(treebank: Treebank, depth: int, count: int,
@@ -405,16 +483,33 @@ def _site_key(site):
 
 def headword(fragment: Fragment, rules: HeadRuleTable) -> str | None:
     """Word reached by following head children from the root; None when the
-    head path exits the fragment at a substitution site."""
-    node = fragment.structure
+    head path exits the fragment at a substitution site.
+
+    The path is walked over the key's tokens: a node is the index of its
+    "(", its label follows, and then its word or its children's brackets.
+    """
+    tokens = _TOKEN.findall(fragment.key)
+    node = 0
     while True:
-        if node.is_preterminal:
-            return node.word
-        labels = [c.label if isinstance(c, (Tree, Site)) else None
-                  for c in node.children]
-        head = node.children[rules.head_index(node.label, labels)]
-        if isinstance(head, Site):
-            return None
+        first = tokens[node + 2]
+        if first != "(":
+            return first               # a preterminal's word
+        starts = []                    # each child's "(", left to right
+        nesting = 0
+        for pos in range(node + 2, len(tokens)):
+            tok = tokens[pos]
+            if tok == "(":
+                if nesting == 0:
+                    starts.append(pos)
+                nesting += 1
+            elif tok == ")":
+                if nesting == 0:
+                    break
+                nesting -= 1
+        head = starts[rules.head_index(
+            tokens[node + 1], [tokens[start + 1] for start in starts])]
+        if tokens[head + 2] == ")":
+            return None                # a site
         node = head
 
 

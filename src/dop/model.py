@@ -22,7 +22,7 @@ class GrammarError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelEntry:
     fragment: Fragment
     count: object            # int, or Fraction after smoothing
@@ -87,12 +87,6 @@ class FragmentModel:
     def probability(self, key: str) -> Fraction:
         entry = self.entries.get(key)
         return entry.probability if entry else Fraction(0)
-
-    def lexical_words(self) -> set:
-        words = set()
-        for entry in self.entries.values():
-            words.update(w for w in entry.fragment.frontier if isinstance(w, str))
-        return words
 
     def by_root(self) -> dict:
         grouped = defaultdict(list)

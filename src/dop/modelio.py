@@ -14,10 +14,13 @@ Layout (all fields tab-separated, fractions as "a/b")::
     count<TAB>probability<TAB>canonical_key
 
 Everything is sorted (roots and priors by label, entries by root then key)
-so equal models serialize to identical bytes. Keys are read back in
-canonical form: a key written with other spacing (``(S  (NP john)\t(VP))``)
-loads as the fragment whose key is ``(S (NP john) (VP))``, and a bad key
-is reported with its line number. Head rules are not stored:
+so equal models serialize to identical bytes. The file is written and read
+line by line: neither side holds its whole text or a list of its lines.
+Keys are read back in canonical form: a key written with other spacing
+(``(S  (NP john)\t(VP))``) loads as the fragment whose key is
+``(S (NP john) (VP))``. A malformed row of any kind (a bad key, a field
+missing, a number that does not parse, a zero denominator, a probability
+outside (0, 1]) is reported with its line number. Head rules are not stored:
 they decide which fragments pass the restriction at training time, and a
 loaded model has no use for them.
 """
@@ -26,6 +29,7 @@ import gc
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 
 from .fragments import Fragment, RestrictionSet
 from .model import FragmentModel, ModelEntry, UnknownWordModel
@@ -43,50 +47,79 @@ def _num(value) -> str:
     return str(value)          # int -> "n", Fraction -> "a/b" or "n"
 
 
+def _fraction(text) -> Fraction:
+    """A Fraction from "a/b" or "n", built from its two integers."""
+    numerator, slash, denominator = text.partition("/")
+    denominator = int(denominator) if slash else 1
+    if denominator == 0:
+        raise ValueError("%r has a zero denominator" % text)
+    return Fraction(int(numerator), denominator)
+
+
 def _parse_num(text):
-    if "/" in text:
-        return Fraction(text)
-    return int(text)
+    return _fraction(text) if "/" in text else int(text)
 
 
-def model_to_text(model: FragmentModel) -> str:
-    lines = ["dopmodel\t%s" % _FORMAT_VERSION]
+def _probability(text) -> Fraction:
+    """A probability in (0, 1], as "a/b" with a positive b, or "1"."""
+    numerator, slash, denominator = text.partition("/")
+    numerator = int(numerator)
+    denominator = int(denominator) if slash else 1
+    if not 0 < numerator <= denominator:
+        raise ValueError("probability %s is not in (0, 1]" % text)
+    return Fraction(numerator, denominator)
+
+
+def _model_lines(model: FragmentModel):
+    """The lines of the model's file, each with its newline."""
+    yield "dopmodel\t%s\n" % _FORMAT_VERSION
     fields = []
     for name in _RESTRICTION_FIELDS:
         value = getattr(model.restriction, name)
         fields.append("%s=%s" % (name, "-" if value is None else value))
-    lines.append("restriction\t%s" % "\t".join(fields))
-    lines.append("smoothing\t%s" % ("on" if model.smoothed else "off"))
-    lines.append("start\t%s" % "\t".join(sorted(model.start_labels)))
+    yield "restriction\t%s\n" % "\t".join(fields)
+    yield "smoothing\t%s\n" % ("on" if model.smoothed else "off")
+    yield "start\t%s\n" % "\t".join(sorted(model.start_labels))
     for label in sorted(model.priors):
-        lines.append("prior\t%s\t%s" % (label, _num(model.priors[label])))
+        yield "prior\t%s\t%s\n" % (label, _num(model.priors[label]))
     grouped = defaultdict(list)
     for key, entry in model.entries.items():
         grouped[entry.fragment.root].append(key)
     for root in sorted(grouped):
-        lines.append("root\t%s\t%d\t%s\t%s" % (
+        yield "root\t%s\t%d\t%s\t%s\n" % (
             root, len(grouped[root]), _num(model.root_totals[root]),
-            _num(model.reserved_mass.get(root, Fraction(0)))))
+            _num(model.reserved_mass.get(root, Fraction(0))))
     unknown = model.unknown_words
     if unknown is not None:
-        lines.append("unk\t%d" % unknown.threshold)
+        yield "unk\t%d\n" % unknown.threshold
         for (suffix, caps, hyphen, digit) in sorted(unknown.full_stats):
             tags = unknown.full_stats[(suffix, caps, hyphen, digit)]
             for tag in sorted(tags):
-                lines.append("unkstat\t%s\t%d\t%d\t%d\t%s\t%d" % (
-                    suffix, caps, hyphen, digit, tag, tags[tag]))
-    lines.append("entries")
+                yield "unkstat\t%s\t%d\t%d\t%d\t%s\t%d\n" % (
+                    suffix, caps, hyphen, digit, tag, tags[tag])
+    yield "entries\n"
     for root in sorted(grouped):
         for key in sorted(grouped[root]):
             entry = model.entries[key]
-            lines.append("%s\t%s\t%s" % (
-                _num(entry.count), _num(entry.probability), key))
-    return "\n".join(lines) + "\n"
+            yield "%s\t%s\t%s\n" % (
+                _num(entry.count), _num(entry.probability), key)
 
 
-def model_from_text(text: str) -> FragmentModel:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("dopmodel\t"):
+def model_to_text(model: FragmentModel) -> str:
+    return "".join(_model_lines(model))
+
+
+# the header records with a fixed number of fields
+_RECORD_FIELDS = {"smoothing": 2, "prior": 3, "root": 5, "unk": 2,
+                  "unkstat": 7}
+
+
+def model_from_text(text) -> FragmentModel:
+    """Read a model from its text, or from its lines as an open file yields
+    them, one at a time."""
+    lines = enumerate(text.splitlines() if isinstance(text, str) else text,
+                      start=1)
+    if not next(lines, (1, ""))[1].startswith("dopmodel\t"):
         raise ModelFormatError("not a model file")
     restriction = RestrictionSet()
     smoothed = False
@@ -96,50 +129,63 @@ def model_from_text(text: str) -> FragmentModel:
     reserved = {}
     unk_threshold = None
     unk_stats = defaultdict(Counter)
-    entries = {}
-    in_entries = False
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
+    for lineno, line in lines:
+        row = line.rstrip("\n")
+        if not row:
             continue
-        if in_entries:
-            try:
-                count, probability, key = line.split("\t", 2)
-            except ValueError:
-                raise ModelFormatError("line %d: bad entry row" % lineno)
-            try:
-                fragment = Fragment.from_string(key)
-                entries[fragment.key] = ModelEntry(
-                    fragment, _parse_num(count), Fraction(probability))
-            except ValueError as err:
-                raise ModelFormatError("line %d: %s" % (lineno, err)) from None
-            continue
-        fields = line.split("\t")
+        fields = row.split("\t")
         tag = fields[0]
-        if tag == "restriction":
-            values = {}
-            for assignment in fields[1:]:
-                name, _, raw = assignment.partition("=")
-                values[name] = None if raw == "-" else int(raw)
-            restriction = RestrictionSet(**values)
-        elif tag == "smoothing":
-            smoothed = fields[1] == "on"
-        elif tag == "start":
-            start = fields[1:]
-        elif tag == "prior":
-            priors[fields[1]] = Fraction(fields[2])
-        elif tag == "root":
-            root_totals[fields[1]] = _parse_num(fields[3])
-            reserved[fields[1]] = Fraction(fields[4])
-        elif tag == "unk":
-            unk_threshold = int(fields[1])
-        elif tag == "unkstat":
-            suffix, caps, hyphen, digit, pos, count = fields[1:]
-            unk_stats[(suffix, bool(int(caps)), bool(int(hyphen)),
-                       bool(int(digit)))][pos] = int(count)
-        elif tag == "entries":
-            in_entries = True
-        else:
-            raise ModelFormatError("line %d: unknown record %r" % (lineno, tag))
+        if tag == "entries":
+            break
+        try:
+            if len(fields) != _RECORD_FIELDS.get(tag, len(fields)):
+                raise ValueError("a %s row has %d fields, not %d" % (
+                    tag, len(fields), _RECORD_FIELDS[tag]))
+            if tag == "restriction":
+                values = {}
+                for assignment in fields[1:]:
+                    name, _, raw = assignment.partition("=")
+                    if name not in _RESTRICTION_FIELDS:
+                        raise ValueError("unknown restriction %r" % name)
+                    values[name] = None if raw == "-" else int(raw)
+                restriction = RestrictionSet(**values)
+            elif tag == "smoothing":
+                if fields[1] not in ("on", "off"):
+                    raise ValueError("smoothing is %r, not on or off"
+                                     % fields[1])
+                smoothed = fields[1] == "on"
+            elif tag == "start":
+                start = fields[1:]
+            elif tag == "prior":
+                priors[fields[1]] = _fraction(fields[2])
+            elif tag == "root":
+                root_totals[fields[1]] = _parse_num(fields[3])
+                reserved[fields[1]] = _fraction(fields[4])
+            elif tag == "unk":
+                unk_threshold = int(fields[1])
+            elif tag == "unkstat":
+                suffix, caps, hyphen, digit, pos, count = fields[1:]
+                unk_stats[(suffix, bool(int(caps)), bool(int(hyphen)),
+                           bool(int(digit)))][pos] = int(count)
+            else:
+                raise ValueError("unknown record %r" % tag)
+        except ValueError as err:
+            raise ModelFormatError("line %d: %s" % (lineno, err)) from None
+    entries = {}
+    for lineno, line in lines:
+        row = line.rstrip("\n")
+        if not row:
+            continue
+        try:
+            count, probability, key = row.split("\t", 2)
+        except ValueError:
+            raise ModelFormatError("line %d: bad entry row" % lineno) from None
+        try:
+            fragment = Fragment.from_string(key)
+            entries[fragment.key] = ModelEntry(
+                fragment, _parse_num(count), _probability(probability))
+        except ValueError as err:
+            raise ModelFormatError("line %d: %s" % (lineno, err)) from None
     unknown = None
     if unk_threshold is not None:
         unknown = UnknownWordModel(threshold=unk_threshold,
@@ -165,8 +211,12 @@ def _check_totals(model):
 
 
 def write_model(model: FragmentModel, path):
+    lines = _model_lines(model)
     with open(path, "w", encoding="utf8") as handle:
-        handle.write(model_to_text(model))
+        # a few thousand lines per write: one write per line costs more
+        # than the text of the line
+        while chunk := "".join(islice(lines, 4096)):
+            handle.write(chunk)
 
 
 @contextmanager
@@ -182,9 +232,7 @@ def collector_paused():
 
 
 def load_model(path) -> FragmentModel:
-    with open(path, encoding="utf8") as handle:
-        text = handle.read()
     # The model's objects form no cycles, so a full collection while they
     # are built would only scan them again.
-    with collector_paused():
-        return model_from_text(text)
+    with open(path, encoding="utf8") as handle, collector_paused():
+        return model_from_text(handle)

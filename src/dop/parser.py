@@ -15,8 +15,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from heapq import heappop, heappush, heapreplace
+from itertools import chain
 
 from .fragments import _SITE, Fragment
 from .model import FragmentModel
@@ -27,30 +27,48 @@ class CyclicGrammarError(ValueError):
     """Unary fragment cycles make the derivation set infinite."""
 
 
-@dataclass(frozen=True)
 class IndexedRule:
-    lhs: str
-    rhs: tuple                # fragment frontier: Site markers and words
-    fragment: Fragment
-    logprob: float
-    index: int
+    """A model fragment as a rule: lhs is its root, rhs its frontier
+    (Site markers and words), logprob its log probability and index its
+    position in the rule list.
 
-    @cached_property
-    def form(self) -> str:
-        """The fragment key as a format string, "%s" at each substitution
-        site and each "%" doubled.
+    form and scaled are computed on first access and then kept in their
+    slots, so later reads cost what a plain attribute read does.
+    """
 
-        Formatting it with the bracketed subtrees of the sites, left to
-        right, gives the bracketed form of the substituted tree. Computed
-        the first time the rule is realized.
-        """
-        return "%s".join(piece.replace("%", "%%")
-                         for piece in _SITE.split(self.fragment.key))
+    __slots__ = ("lhs", "rhs", "fragment", "logprob", "index",
+                 "form", "scaled")
 
-    @cached_property
-    def scaled(self) -> int:
-        """logprob as an exact int (see _scaled), computed on first use."""
-        return _scaled(self.logprob)
+    def __init__(self, lhs, rhs, fragment, logprob, index):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.fragment = fragment
+        self.logprob = logprob
+        self.index = index
+
+    def __getattr__(self, name):
+        # reached only while the slot is empty
+        if name == "form":
+            # the fragment key as a format string, "%s" at each
+            # substitution site and each "%" doubled: formatted with the
+            # bracketed subtrees of the sites, left to right, it gives the
+            # bracketed form of the substituted tree
+            value = "%s".join(piece.replace("%", "%%")
+                              for piece in _SITE.split(self.fragment.key))
+        elif name == "scaled":
+            value = _scaled(self.logprob)    # logprob as an exact int
+        else:
+            raise AttributeError(name)
+        setattr(self, name, value)
+        return value
+
+    def __reduce__(self):
+        return (IndexedRule, (self.lhs, self.rhs, self.fragment,
+                              self.logprob, self.index))
+
+    def __repr__(self):
+        return "IndexedRule(%s, %r, %d)" % (self.fragment.key, self.logprob,
+                                            self.index)
 
 
 # every finite float is an integer multiple of 2**-1074
@@ -72,29 +90,25 @@ def _unscaled(total: int) -> float:
     return total / _SCALE
 
 
-def _log(probability) -> float:
-    p = Fraction(probability)
-    return math.log(p.numerator) - math.log(p.denominator)
+def _log(probability: Fraction) -> float:
+    return math.log(probability.numerator) - math.log(probability.denominator)
 
 
 def _rule(fragment, probability, index) -> IndexedRule:
-    return IndexedRule(lhs=fragment.root, rhs=fragment.frontier,
-                       fragment=fragment, logprob=_log(probability),
-                       index=index)
+    return IndexedRule(fragment.root, fragment.frontier, fragment,
+                       _log(probability), index)
 
 
 def to_rules(model: FragmentModel) -> list:
     """One rule per model entry, in deterministic (root, key) order."""
     entries = model.entries
-    keys = sorted(entries, key=lambda k: (entries[k].fragment.root, k))
-    return [_rule(entries[key].fragment, entries[key].probability, index)
-            for index, key in enumerate(keys)]
-
-
-def _symbol(rhs_element):
-    if isinstance(rhs_element, Site):
-        return ("n", rhs_element.label)
-    return ("w", rhs_element)
+    rules = []
+    for index, (root, key) in enumerate(sorted(
+            (entry.fragment.root, key) for key, entry in entries.items())):
+        fragment = entries[key].fragment
+        rules.append(IndexedRule(root, fragment.frontier, fragment,
+                                 _log(entries[key].probability), index))
+    return rules
 
 
 def _find_cycle(edges):
@@ -202,33 +216,39 @@ class ChartParser:
                                    if self._log_priors else 0.0)
         self.start_labels = tuple(sorted(start_labels))
 
-        # the prefix trie over rule right-hand sides
-        self.first_step = {}          # symbol -> trie node
+        # the prefix trie over rule right-hand sides, in one pass over the
+        # rules; a symbol is ("n", label) for a site, ("w", word) for a word
+        first_step = self.first_step = {}     # symbol -> trie node
         # symbol -> {trie node: next trie node}: the steps that read the
         # symbol after the first rhs position
-        self.steps_on = {}
-        self.completions = defaultdict(list)   # trie node -> [(lhs, rule)]
+        steps_on = self.steps_on = {}
+        completions = defaultdict(list)       # trie node -> [rule]
         unary_edges = defaultdict(set)
-        counter = 0
+        nodes = 0
         for rule in self.rules:
+            rhs = rule.rhs
             node = None
-            for i, element in enumerate(rule.rhs):
-                sym = _symbol(element)
-                if i == 0:
-                    node = self.first_step.get(sym)
-                    if node is None:
-                        node = self.first_step[sym] = counter
-                        counter += 1
+            for element in rhs:
+                if element.__class__ is str:
+                    sym = ("w", element)
                 else:
-                    steps = self.steps_on.setdefault(sym, {})
-                    node = steps.get(prev)
-                    if node is None:
-                        node = steps[prev] = counter
-                        counter += 1
-                prev = node
-            self.completions[node].append((rule.lhs, rule))
-            if len(rule.rhs) == 1 and isinstance(rule.rhs[0], Site):
-                unary_edges[rule.lhs].add(rule.rhs[0].label)
+                    sym = ("n", element.label)
+                if node is None:
+                    steps = first_step
+                    key = sym
+                else:
+                    steps = steps_on.get(sym)
+                    if steps is None:
+                        steps = steps_on[sym] = {}
+                    key = node
+                node = steps.get(key)
+                if node is None:
+                    node = steps[key] = nodes
+                    nodes += 1
+            completions[node].append(rule)
+            if len(rhs) == 1 and sym[0] == "n":
+                unary_edges[rule.lhs].add(sym[1])
+        self.completions = completions
         self.unary_cycle = _find_cycle(unary_edges)
 
     def _log_prior(self, label):
@@ -339,8 +359,8 @@ class ChartParser:
         for tail in queue:
             sym = tail.sym
             node = sym[1] if sym[0] == "p" else first.get(sym)
-            for lhs, rule in completions.get(node, ()):
-                nsym = ("n", lhs)
+            for rule in completions.get(node, ()):
+                nsym = ("n", rule.lhs)
                 item = cell.get(nsym)
                 if item is None:
                     item = cell[nsym] = ChartItem(nsym, span)
@@ -648,7 +668,10 @@ class SentenceParser(ChartParser):
                          priors=model.priors, prune_ratio=prune_ratio)
         self.model = model
         self.n_best = n_best
-        self.vocabulary = model.lexical_words()
+        # the model's words: each one is a word symbol of the trie
+        self.vocabulary = {sym[1] for sym in chain(self.first_step,
+                                                   self.steps_on)
+                           if sym[0] == "w"}
 
     def oov_rules(self, words) -> list:
         """Depth-1 rules for out-of-vocabulary words via the unknown-word model."""

@@ -207,14 +207,26 @@ def test_parse_zero_n_best_is_data_error_without_sentences(toy_paths,
     assert not out.exists()
 
 
-def _run_dop(argv):
-    """dop as a child process, with a deadline: a bad setting checked only
-    in pool workers respawns them without end."""
+def _run_python(argv):
+    """Python as a child process that imports this dop, with a deadline: a
+    bad setting checked only in pool workers respawns them without end."""
     src = str(Path(dop.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
-    return subprocess.run([sys.executable, "-m", "dop"] + argv, env=env,
+    return subprocess.run([sys.executable] + argv, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _run_dop(argv):
+    return _run_python(["-m", "dop"] + argv)
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a parse with --workers above 1 imports it
+    proc = _run_python(
+        ["-c", "import sys, dop.cli; print('multiprocessing' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [

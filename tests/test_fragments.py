@@ -592,3 +592,83 @@ def test_deep_unary_key_loads():
     assert fragment.frontier == ("w",)
     assert fragment.root == "X0"
     assert Fragment.from_string(key.replace(" ", "\n ")).key == key
+
+
+def test_exhaustive_extraction_presets_each_depth():
+    rng = random.Random(307)
+    for _ in range(5):
+        bank = Treebank(tuple(random_tree(rng, max_internal=16, max_depth=5)
+                              for _ in range(6)))
+        top = max(tree.depth() for tree in bank.trees)
+        for depth in range(1, top + 1):
+            for fragments in (extract_treebank(bank, depth),
+                              extract_all(bank.trees[0], depth)):
+                for fragment in fragments:
+                    assert fragment._depth == depth
+                    assert Fragment(fragment.key).depth == depth
+
+
+def _structure_headword(fragment, rules):
+    """headword by a walk over the fragment's Tree, as a reference."""
+    node = fragment.structure
+    while True:
+        if node.is_preterminal:
+            return node.word
+        head = node.children[rules.head_index(
+            node.label, [child.label for child in node.children])]
+        if isinstance(head, Site):
+            return None
+        node = head
+
+
+def test_headword_matches_structure_walk_on_sampled_model():
+    from conftest import synthetic_treebank
+    from dop import build_model, default_head_rules
+    from dop.cli import collect_fragments
+    bank = synthetic_treebank(40, seed=13)
+    restriction = RestrictionSet(max_depth=5, sample_per_depth=200)
+    fragments, _ = collect_fragments(bank, restriction, seed=4)
+    model = build_model(fragments, restriction, default_head_rules())
+    assert len(model.entries) > 100
+    heads = set()
+    for rules in (default_head_rules(), TOY_HEAD_RULES):
+        for entry in model.entries.values():
+            head = headword(entry.fragment, rules)
+            assert head == _structure_headword(entry.fragment, rules)
+            heads.add(head)
+    assert None in heads and len(heads) > 2
+
+
+def test_canonical_reader_agrees_with_token_reader():
+    # keys in canonical form take a shortcut through _read_key; on every
+    # text, it must give what the token-by-token reading gives, or fail
+    # where that fails
+    from dop.fragments import _read_key
+    rng = random.Random(41)
+    texts = ["(S (NP john) (VP))", "(S (NP) (VP)) (X y)", "(S (NP)) x",
+             "(S (A w) (B x)) ", "(S (A w)(B x))", "(S\t(A w))", "(S (A) w)",
+             "(S w x)", "(S (A w)))", "((S (A w))", "(S ( A w))", "(S)",
+             "(S (A w) )", "(S (A w) (B))", "(S (A (B (C w)) (D)))"]
+    for _ in range(60):
+        tree = random_tree(rng, max_internal=10)
+        for fragment in extract_all(tree):
+            texts.append(fragment.key)
+            for _ in range(2):
+                chars = list(fragment.key)
+                i = rng.randrange(len(chars))
+                op = rng.randrange(3)
+                if op == 0:
+                    del chars[i]
+                elif op == 1:
+                    chars.insert(i, rng.choice("() \tx"))
+                else:
+                    chars[i] = rng.choice("() \tx")
+                texts.append("".join(chars))
+    for text in texts:
+        try:
+            expected = _read_key(text, build=True)[1:]
+        except ValueError:
+            with pytest.raises(ValueError):
+                _read_key(text)
+        else:
+            assert _read_key(text)[1:] == expected, text

@@ -111,3 +111,60 @@ def test_parse_reports_bad_entry_line(tmp_path, toy_model, capsys):
     sents.write_text("john sleeps\n")
     assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
     assert "line %d: " % lineno in capsys.readouterr().err
+
+
+def _corrupt_row(text, prefix, change):
+    """The text with change applied to its first line starting with prefix,
+    and that line's number."""
+    lines = text.split("\n")
+    row = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[row] = change(lines[row])
+    return "\n".join(lines), row + 1
+
+
+def _entry_probability(probability):
+    def change(line):
+        count, _, key = line.split("\t")
+        return "%s\t%s\t%s" % (count, probability, key)
+    return change
+
+
+@pytest.mark.parametrize("prefix, change", [
+    ("1\t", _entry_probability("1/0")),
+    ("1\t", _entry_probability("0/5")),
+    ("1\t", _entry_probability("5/4")),
+    ("prior\t", lambda line: line.rsplit("\t", 1)[0]),
+    ("root\t", lambda line: line.rsplit("\t", 2)[0]),
+    ("restriction\t", lambda line: line + "\tbogus=1"),
+    ("restriction\t", lambda line: line.replace("=-", "=x", 1)),
+    ("smoothing\t", lambda line: "smoothing"),
+    ("smoothing\t", lambda line: "smoothing\tyes"),
+    ("unk\t", lambda line: "unk\tmany"),
+    ("unkstat\t", lambda line: line + "\t1"),
+    ("root\t", lambda line: line[:-1] + "1/0"),
+], ids=["zero-denominator", "zero-probability", "probability-above-1",
+        "prior-missing-field", "root-missing-fields",
+        "unknown-restriction", "restriction-not-a-number",
+        "smoothing-missing-field", "smoothing-not-on-or-off",
+        "unk-not-a-number", "unkstat-extra-field",
+        "reserved-zero-denominator"])
+def test_parse_reports_malformed_row_line(tmp_path, toy_model, toy_treebank,
+                                          capsys, prefix, change):
+    from dop.cli import main
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    text, lineno = _corrupt_row(model_to_text(toy_model), prefix, change)
+    path = tmp_path / "bad.dopmodel"
+    path.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dop parse: line %d: " % lineno)
+    assert "Traceback" not in err
+
+
+def test_model_read_from_lines_equals_model_read_from_text(toy_model):
+    # load_model hands model_from_text the open file, which yields lines
+    text = model_to_text(toy_model)
+    from_lines = model_from_text(iter(text.splitlines(keepends=True)))
+    assert model_to_text(from_lines) == text

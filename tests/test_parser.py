@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -66,6 +67,24 @@ def test_to_rules_frontier_reading(toy_model):
     assert lexical.rhs == ("john", Site("VP"))
     assert rules["(S (NP) (VP))"].rhs == (Site("NP"), Site("VP"))
     assert rules["(VP (V likes) (NP))"].rhs == ("likes", Site("NP"))
+
+
+def test_rules_pickle_and_keep_lazy_fields(toy_model):
+    # a pool that spawns its workers pickles the parser to them
+    for rule in to_rules(toy_model):
+        copy = pickle.loads(pickle.dumps(rule))
+        assert (copy.lhs, copy.rhs, copy.fragment, copy.logprob,
+                copy.index) == (rule.lhs, rule.rhs, rule.fragment,
+                                rule.logprob, rule.index)
+        assert copy.scaled == rule.scaled == _scaled(rule.logprob)
+        assert copy.form == rule.form
+        assert copy.form % tuple(["(%s)" % site.label for site in rule.rhs
+                                  if isinstance(site, Site)]) == \
+            rule.fragment.key
+    parser = SentenceParser(toy_model)
+    copy = pickle.loads(pickle.dumps(parser))
+    words = "john likes mary".split()
+    assert copy.parse(words).tree_tallies == parser.parse(words).tree_tallies
 
 
 def test_to_rules_bijection(toy_model):
