@@ -21,8 +21,19 @@ from .modelio import load_model, model_from_text, model_to_text, write_model
 from .parser import (ChartParser, CyclicGrammarError, Derivation,
                      IndexedRule, ParseResult, SentenceParser,
                      most_probable_parse, nbest_derivations, to_rules)
-from .oracle import (CompositionError, OracleOverflowError, OracleReport,
-                     compose, enumerate_derivations, exact_mpp)
 from .parseval import ScoreReport, YieldMismatchError, score_corpus, score_pair
 
 __version__ = "0.1.0"
+
+# only `dop oracle` needs the oracle: its names are imported on first use
+_ORACLE_NAMES = frozenset({"CompositionError", "OracleOverflowError",
+                           "OracleReport", "compose", "enumerate_derivations",
+                           "exact_mpp"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

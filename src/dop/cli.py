@@ -21,7 +21,6 @@ from .heads import HeadRuleTable, default_head_rules
 from .model import (GrammarError, build_model, good_turing_adjust,
                     train_unknown_model)
 from .modelio import collector_paused, load_model, write_model
-from .oracle import enumerate_derivations, report_lines
 from .parser import SentenceParser
 from .parseval import format_report, report_rows, score_corpus
 # write_tree is not called here: a parse is written as the string the
@@ -481,6 +480,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import enumerate_derivations, report_lines
     options = _Options(args)
     model = load_model(args.model)
     if args.sentence is not None:

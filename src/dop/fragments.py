@@ -424,61 +424,76 @@ def sample_fragments(treebank: Treebank, depth: int, count: int,
 def _grow(root: Tree, target: int, rng: random.Random) -> list:
     """Grow a fragment of `target` levels at `root`; its top site record.
 
-    A site record is [corpus node, depth, children once expanded].
+    A site record is [corpus node, depth, children once expanded]. A
+    corpus node's children are one word or all nodes, so an expanded
+    site's children are the node's word tuple or a list of site records.
     """
     getrandbits = rng.getrandbits
     top = [root, 0, None]
-    open_sites = list(_expand(top))
-    cur_depth = 1
+    open_sites = []
+    site = top
+    cur_depth = 0
 
-    # grow until the target depth is reached; the site index is
+    # grow until the target depth is reached, expanding the top site and
+    # then one open site at a time; the site index is
     # rng.randrange(len(open_sites)) inlined, as in sample_fragments
-    while cur_depth < target:
+    while True:
+        node, depth, _ = site
+        depth += 1
+        children = node.children
+        if isinstance(children[0], str):
+            site[2] = children
+        else:
+            site[2] = sites = [[child, depth, None] for child in children]
+            open_sites += sites
+        if depth > cur_depth:
+            cur_depth = depth
+        if cur_depth >= target:
+            break
         n = len(open_sites)
         bits = n.bit_length()
         i = getrandbits(bits)
         while i >= n:
             i = getrandbits(bits)
         site = open_sites.pop(i)
-        open_sites.extend(_expand(site))
-        cur_depth = max(cur_depth, site[1] + 1)
 
     # decide the remaining expandable sites by coin flip; sites at the
     # target depth stay frontier so the depth is exact
     queue = deque(open_sites)
     while queue:
-        site = queue.popleft()
-        if site[1] < target and rng.random() < 0.5:
-            queue.extend(_expand(site))
+        node, depth, _ = site = queue.popleft()
+        if depth < target and rng.random() < 0.5:
+            children = node.children
+            if isinstance(children[0], str):
+                site[2] = children
+            else:
+                depth += 1
+                site[2] = sites = [[child, depth, None] for child in children]
+                queue += sites
     return top
 
 
-def _expand(site):
-    """Give the site its children; return its new site records.
-
-    A corpus node's children are one word or all nodes, so an expanded
-    site's children are the node's word tuple or a list of site records.
-    The list returned is that list itself, so callers must not change it.
-    """
-    node, site_depth, _ = site
-    children = node.children
-    if isinstance(children[0], str):
-        site[2] = children
-        return ()
-    depth = site_depth + 1
-    site[2] = sites = [[child, depth, None] for child in children]
-    return sites
-
-
-def _site_key(site):
-    """The canonical key of the fragment a site record has grown."""
-    node, _, children = site
-    if children is None:
-        return "(%s)" % node.label
-    if isinstance(children[0], str):
-        return "(%s %s)" % (node.label, children[0])
-    return "(%s %s)" % (node.label,
-                        " ".join([_site_key(child) for child in children]))
+def _site_key(top):
+    """The canonical key of the fragment a site record has grown; its top
+    site is expanded over child nodes, as every sampled fragment's is."""
+    # one iterator over each open site's child records, as in write_tree
+    node, _, children = top
+    parts = ["(" + node.label]
+    stack = [iter(children)]
+    while stack:
+        for node, _, children in stack[-1]:
+            if children is None:
+                parts.append(" (%s)" % node.label)
+            elif isinstance(children[0], str):
+                parts.append(" (%s %s)" % (node.label, children[0]))
+            else:
+                parts.append(" (" + node.label)
+                stack.append(iter(children))
+                break
+        else:
+            stack.pop()
+            parts.append(")")
+    return "".join(parts)
 
 
 def headword(fragment: Fragment, rules: HeadRuleTable) -> str | None:

@@ -220,10 +220,8 @@ def train_unknown_model(treebank: Treebank, threshold: int) -> UnknownWordModel:
     full_stats = defaultdict(Counter)
     for nodes in treebank.nodes:
         for node in nodes:
-            if not node.is_preterminal:
-                continue
-            word = node.word
-            if vocabulary[word] > threshold:
+            word = node.children[0]
+            if not isinstance(word, str) or vocabulary[word] > threshold:
                 continue
             suffixes, caps, hyphen, digit = word_features(word)
             for suffix in suffixes:

@@ -9,7 +9,8 @@ are trees whose frontier may also hold `Site` substitution markers.
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import is_
 
 
 class TreeReadError(ValueError):
@@ -104,16 +105,40 @@ class Tree:
 
     def depth(self):
         """Edges on the longest path from this node down to a word or site."""
-        return _bottom_up(list(self.subtrees()), _height)[0]
+        return _heights(list(self.subtrees()))[0]
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.label == other.label and self.children == other.children
+        # node pairs still to compare, so a deep chain needs no recursion
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if isinstance(x, Tree) and isinstance(y, Tree):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
+        """hash((label, children)), filled in bottom-up over the nodes not
+        yet hashed, so hashing a child never recurses further."""
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.label, self.children)))
+            pending = []
+            stack = [self]
+            while stack:
+                node = stack.pop()
+                if node._hash is None:
+                    pending.append(node)
+                    stack.extend(child for child in node.children
+                                 if isinstance(child, Tree))
+            for node in reversed(pending):
+                _set_hash(node, hash((node.label, node.children)))
         return self._hash
 
     def __reduce__(self):
@@ -121,6 +146,23 @@ class Tree:
 
     def __repr__(self):
         return "Tree(%s)" % write_tree(self)
+
+
+# the slots of a Tree, for `_node`, which makes a node without
+# `Tree.__init__`'s checks (and for `Tree.__hash__`, which fills `_hash`)
+_set_label = Tree.label.__set__
+_set_children = Tree.children.__set__
+_set_hash = Tree._hash.__set__
+
+
+def _node(label, children):
+    """A Tree of `children` already known to be a non-empty tuple of
+    subtrees, or of one word."""
+    node = object.__new__(Tree)
+    _set_label(node, label)
+    _set_children(node, children)
+    _set_hash(node, None)
+    return node
 
 
 @dataclass(frozen=True)
@@ -141,16 +183,13 @@ class Treebank:
     @cached_property
     def heights(self) -> tuple:
         """`Tree.depth` of each node in `nodes`, one list per tree."""
-        return tuple(_bottom_up(nodes, _height) for nodes in self.nodes)
+        return tuple(map(_heights, self.nodes))
 
     @cached_property
     def vocabulary(self) -> Counter:
-        vocab = Counter()
-        for nodes in self.nodes:
-            for node in nodes:
-                if node.is_preterminal:
-                    vocab[node.word] += 1
-        return vocab
+        # a node's first child is its word exactly when it is a preterminal
+        return Counter([word for nodes in self.nodes for node in nodes
+                        if isinstance(word := node.children[0], str)])
 
     def __len__(self):
         return len(self.trees)
@@ -173,8 +212,31 @@ def _bottom_up(nodes, value, *args):
     return values
 
 
-def _height(node, below):
-    return 1 + max(below, default=0)
+_is_tree = Tree.__instancecheck__
+
+
+def _heights(nodes):
+    """`Tree.depth` of each node of a preorder list, walked as `_bottom_up`
+    walks it: a word or a site below a node counts as nothing."""
+    heights = []
+    stack = []
+    for node in reversed(nodes):
+        children = node.children
+        if isinstance(children[0], str):
+            height = 1
+        else:
+            below = sum(map(_is_tree, children))
+            if below == 1:
+                height = stack.pop() + 1
+            elif below:
+                height = max(stack[-below:]) + 1
+                del stack[-below:]
+            else:
+                height = 1
+        stack.append(height)
+        heights.append(height)
+    heights.reverse()
+    return heights
 
 
 # a bracket, or a run of anything else that is not whitespace; `\s` is
@@ -191,49 +253,75 @@ def _tokenize(text):
             yield match.group(), lineno, match.start() + 1
 
 
+def _read_error(message, text, line, index):
+    """The TreeReadError for the `index`-th token of a line, its column
+    found only now, when the error is raised."""
+    match = list(_TOKEN.finditer(text.split("\n")[line - 1]))[index]
+    return TreeReadError(message, line, match.start() + 1)
+
+
 def read_trees(text: str) -> list[Tree]:
     """Parse one or more bracketed trees.
 
     An outer label-less wrapper around a single tree, as in
-    ``( (S ...) )``, is stripped.
+    ``( (S ...) )``, is stripped. Lines whose first non-blank character
+    is ``#`` are comments.
+
+    Each line is split into tokens by one regex scan. A token's column is
+    worked out only for an error, which carries the line and column of
+    the offending token (of the opening bracket, for a malformed node).
+    Nodes are made without `Tree`'s checks, which the reader has made.
 
     >>> [write_tree(t) for t in read_trees("(NP mary) ( (S (NP john) (VP (V sleeps))) )")]
     ['(NP mary)', '(S (NP john) (VP (V sleeps)))']
     """
     trees = []
-    # stack frames: [line, col, label-or-None, children]
+    # the open node is (label, children, line, index of its "(" in the
+    # line's tokens), with children None when no node is open; the nodes
+    # enclosing it wait on the stack
+    label = children = line = index = None
     stack = []
-    for tok, line, col in _tokenize(text):
-        if tok == "(":
-            stack.append([line, col, None, []])
-        elif tok == ")":
-            if not stack:
-                raise TreeReadError("unbalanced brackets: unexpected ')'", line, col)
-            oline, ocol, label, children = stack.pop()
-            if label is None and len(children) == 1 and isinstance(children[0], Tree):
-                node = children[0]  # wrapper convention
-            elif label is None or not children:
-                raise TreeReadError("empty node", oline, ocol)
+    for lineno, text_line in enumerate(text.split("\n"), start=1):
+        if text_line.lstrip().startswith("#"):
+            continue
+        for i, tok in enumerate(_TOKEN.findall(text_line)):
+            if tok == "(":
+                if children is not None:
+                    stack.append((label, children, line, index))
+                label, children, line, index = None, [], lineno, i
+            elif tok == ")":
+                if children is None:
+                    raise _read_error("unbalanced brackets: unexpected ')'",
+                                      text, lineno, i)
+                if label is None:
+                    # a label-less node's first child is a node: one child
+                    # is a wrapper, and anything else an empty node
+                    if len(children) != 1:
+                        raise _read_error("empty node", text, line, index)
+                    node = children[0]
+                elif not children:
+                    raise _read_error("empty node", text, line, index)
+                elif len(children) > 1 and str in map(type, children):
+                    raise _read_error("terminal word with siblings under %r"
+                                      % label, text, line, index)
+                else:
+                    node = _node(label, tuple(children))
+                if stack:
+                    label, children, line, index = stack.pop()
+                    children.append(node)
+                else:
+                    trees.append(node)
+                    children = None
+            elif children is None:
+                raise _read_error("token %r outside brackets" % tok,
+                                  text, lineno, i)
+            elif label is None and not children:
+                label = tok
             else:
-                try:
-                    node = Tree(label, children)
-                except ValueError as err:     # a word with siblings
-                    raise TreeReadError(str(err), oline, ocol) from None
-            if stack:
-                stack[-1][3].append(node)
-            else:
-                trees.append(node)
-        else:
-            if not stack:
-                raise TreeReadError("token %r outside brackets" % tok, line, col)
-            frame = stack[-1]
-            if frame[2] is None and not frame[3]:
-                frame[2] = tok
-            else:
-                frame[3].append(tok)
-    if stack:
-        line, col = stack[-1][0], stack[-1][1]
-        raise TreeReadError("unbalanced brackets: '(' never closed", line, col)
+                children.append(tok)
+    if children is not None:
+        raise _read_error("unbalanced brackets: '(' never closed",
+                          text, line, index)
     return trees
 
 
@@ -288,11 +376,17 @@ def strip_label(label: str) -> str:
     return label
 
 
+# a treebank has few distinct labels: each is stripped once
+_stripped = lru_cache(maxsize=1 << 16)(strip_label)
+
+
 def normalize(tree: Tree) -> Tree | None:
     """Strip tag/co-index suffixes, delete traces and quotation marks.
 
     Deletion of a node removes ancestors left childless. Returns None when
-    the whole tree is deleted; callers count such trees as skipped.
+    the whole tree is deleted; callers count such trees as skipped. A
+    subtree that normalization leaves unchanged is returned as it is, not
+    rebuilt: trees are immutable, so input and output may share it.
     """
     # Nodes in mirrored preorder (children pushed left to right, so popped
     # right to left), then rebuilt in reverse: each node finds its
@@ -305,21 +399,24 @@ def normalize(tree: Tree) -> Tree | None:
         children = node.children
         if not isinstance(children[0], str):
             stack.extend(children)
-    labels = {}
     values = []
     for node in reversed(order):
-        label = labels.get(node.label)
-        if label is None:
-            label = labels[node.label] = strip_label(node.label)
+        old = node.label
+        label = _stripped(old)
         children = node.children
         if isinstance(children[0], str):
-            values.append(None if node.label in _DELETED_PRETERMINALS
-                          else Tree(label, children))
+            if old in _DELETED_PRETERMINALS:
+                node = None
+            elif label != old:
+                node = _node(label, children)
         else:
             width = len(children)
-            kept = [child for child in values[-width:] if child is not None]
+            below = values[-width:]
             del values[-width:]
-            values.append(Tree(label, kept) if kept else None)
+            if label != old or not all(map(is_, below, children)):
+                kept = [child for child in below if child is not None]
+                node = _node(label, tuple(kept)) if kept else None
+        values.append(node)
     return values[0]
 
 

@@ -229,6 +229,16 @@ def test_cli_import_leaves_multiprocessing_out():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_oracle_out():
+    # only `dop oracle` imports it; the package resolves its names on use
+    proc = _run_python(
+        ["-c", "import sys, dop.cli; print('dop.oracle' in sys.modules); "
+               "from dop import exact_mpp; import dop; "
+               "print(exact_mpp is dop.oracle.exact_mpp, dop.compose)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False\nTrue <function compose ")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--prune-ratio", "0", "prune_ratio must be in (0, 1]"),
     ("--n-best", "0", "n_best must be >= 1"),

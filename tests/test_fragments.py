@@ -216,6 +216,12 @@ def test_sample_rare_depth_takes_as_many_restarts_as_needed():
     assert fragments == Counter({Fragment.from_string("(S (X w))"): 100})
 
 
+def _depth_spec(node):
+    # the definition, as a recursion: a word or a site counts as nothing
+    return 1 + max((_depth_spec(child) for child in node.children
+                    if isinstance(child, Tree)), default=0)
+
+
 def test_height_lists_match_tree_depth():
     # the lists the sampler, the depth-1 pass and the unknown-word model read
     rng = random.Random(5)
@@ -225,6 +231,8 @@ def test_height_lists_match_tree_depth():
     assert bank.nodes == tuple(list(tree.subtrees()) for tree in trees)
     assert bank.heights == tuple([node.depth() for node in tree.subtrees()]
                                  for tree in trees)
+    assert bank.heights == tuple([_depth_spec(node) for node in nodes]
+                                 for nodes in bank.nodes)
     assert bank.nodes is bank.nodes and bank.heights is bank.heights
 
     # node.depth() is quadratic down a chain: check every 250th node

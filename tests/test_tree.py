@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -119,16 +120,9 @@ def _normalize_spec(tree):
 def test_normalize_matches_recursive_definition_on_random_trees():
     rng = random.Random(11)
     labels = ("S", "NP-SBJ", "VP=2", "-NONE-", "''", "PP-LOC-1", "X")
-
-    # relabeled at random, so that deletions and suffixes occur
-    def relabel(node):
-        children = node.children
-        if not node.is_preterminal:
-            children = [relabel(child) for child in children]
-        return Tree(rng.choice(labels), children)
-
     for _ in range(300):
-        tree = relabel(random_tree(rng, max_internal=20, max_depth=6))
+        tree = _relabel(rng, random_tree(rng, max_internal=20, max_depth=6),
+                        labels)
         assert normalize(tree) == _normalize_spec(tree)
 
 
@@ -274,3 +268,221 @@ def test_token_whitespace_is_str_isspace():
     from dop.tree import _TOKEN
     chars = "".join(map(chr, range(0x110000)))
     assert set(_TOKEN.sub("", chars)) == set(filter(str.isspace, chars))
+
+
+# References for the reader and for normalize: the token-by-token reader,
+# with each token's column, and the normalize that rebuilds every node.
+# read_trees and normalize must agree with them on any input.
+
+def _reference_read_trees(text):
+    def tokenize():
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if line.lstrip().startswith("#"):
+                continue
+            for match in re.finditer(r"[()]|[^\s()]+", line):
+                yield match.group(), lineno, match.start() + 1
+
+    trees = []
+    stack = []          # [line, col, label-or-None, children] per open node
+    for tok, line, col in tokenize():
+        if tok == "(":
+            stack.append([line, col, None, []])
+        elif tok == ")":
+            if not stack:
+                raise TreeReadError("unbalanced brackets: unexpected ')'",
+                                    line, col)
+            oline, ocol, label, children = stack.pop()
+            if (label is None and len(children) == 1
+                    and isinstance(children[0], Tree)):
+                node = children[0]
+            elif label is None or not children:
+                raise TreeReadError("empty node", oline, ocol)
+            else:
+                try:
+                    node = Tree(label, children)
+                except ValueError as err:
+                    raise TreeReadError(str(err), oline, ocol) from None
+            if stack:
+                stack[-1][3].append(node)
+            else:
+                trees.append(node)
+        else:
+            if not stack:
+                raise TreeReadError("token %r outside brackets" % tok,
+                                    line, col)
+            frame = stack[-1]
+            if frame[2] is None and not frame[3]:
+                frame[2] = tok
+            else:
+                frame[3].append(tok)
+    if stack:
+        raise TreeReadError("unbalanced brackets: '(' never closed",
+                            stack[-1][0], stack[-1][1])
+    return trees
+
+
+def _reference_normalize(tree):
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not node.is_preterminal:
+            stack.extend(node.children)
+    values = []
+    for node in reversed(order):
+        label = strip_label(node.label)
+        if node.is_preterminal:
+            values.append(None if node.label in ("-NONE-", "''", "``")
+                          else Tree(label, node.children))
+        else:
+            width = len(node.children)
+            kept = [child for child in values[-width:] if child is not None]
+            del values[-width:]
+            values.append(Tree(label, kept) if kept else None)
+    return values[0]
+
+
+_RAW_LABELS = ("S", "NP-SBJ", "VP=2", "-NONE-", "''", "``", "PP-LOC-1", "X",
+               "-LRB-", ",")
+_BLANKS = (" ", "  ", "\t", "\n", " \n\t", "\r\n", "\n  ")
+
+
+def _relabel(rng, tree, labels=_RAW_LABELS):
+    """The tree with labels drawn at random, so that normalization
+    deletes nodes and strips suffixes."""
+    children = tree.children
+    if not tree.is_preterminal:
+        children = [_relabel(rng, child, labels) for child in children]
+    return Tree(rng.choice(labels), children)
+
+
+def _random_bank_text(rng):
+    """Bracketed trees as a treebank file may hold them: blanks of any
+    kind between tokens and just inside brackets, trees split across
+    lines, label-less wrappers, '#' comment lines, and CRLF line ends."""
+    texts = []
+    for _ in range(rng.randint(1, 4)):
+        text = write_tree(_relabel(rng, random_tree(rng, max_internal=10)))
+        if rng.random() < 0.3:
+            text = "( %s )" % text
+        text = "".join(rng.choice(_BLANKS) if ch == " " else ch
+                       for ch in text)
+        if rng.random() < 0.3:
+            text = text.replace("(", "( ", 1)
+        texts.append(text)
+    lines = "\n".join(texts).split("\n")
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)),
+                     rng.choice(("# comment", "  # (S x", "\t#)")))
+    ending = "\r\n" if rng.random() < 0.4 else "\n"
+    return ending.join(lines) + rng.choice(("", ending))
+
+
+def _corrupt(rng, text):
+    """The text with one character deleted, inserted or replaced."""
+    pos = rng.randrange(len(text) + 1)
+    char = rng.choice("()# \t\nxy")
+    edit = rng.randrange(3)
+    if edit == 0:
+        return text[:pos] + text[pos + 1:]
+    if edit == 1:
+        return text[:pos] + char + text[pos:]
+    return text[:pos] + char + text[pos + 1:]
+
+
+def _read_outcome(reader, text):
+    try:
+        return reader(text)
+    except TreeReadError as err:
+        return (str(err), err.line, err.col)
+
+
+def test_reader_agrees_with_token_by_token_reader_on_random_banks():
+    rng = random.Random(18)
+    errors = 0
+    for _ in range(400):
+        text = _random_bank_text(rng)
+        expected = _reference_read_trees(text)
+        assert read_trees(text) == expected
+        assert [write_tree(t) for t in read_trees(text)] == [
+            write_tree(t) for t in expected]
+        for _ in range(5):
+            bad = _corrupt(rng, text)
+            got = _read_outcome(read_trees, bad)
+            assert got == _read_outcome(_reference_read_trees, bad), bad
+            errors += isinstance(got, tuple)
+    assert errors > 500     # most corruptions are errors, of every kind
+
+
+def test_reader_error_kinds_match_reference():
+    for text in ("(S x))", "x (S y)", "(S (NP) (VP x))", "()", "( (A x) y)",
+                 "(NP john mary)", "(NP john (X y))", "(S (A x)\n\t(B",
+                 "(S\r\n (A x)\r\n (B y z))", "# c\n  )", "(A (B x)) (",
+                 "( (A x) (B y) )", "(A x)\n#)\n)"):
+        got = _read_outcome(read_trees, text)
+        assert isinstance(got, tuple), text
+        assert got == _read_outcome(_reference_read_trees, text), text
+
+
+def test_read_nodes_pass_tree_checks():
+    # nodes made without Tree.__init__ hold what it would have made
+    rng = random.Random(5)
+    for _ in range(100):
+        for tree in read_trees(_random_bank_text(rng)):
+            for node in tree.subtrees():
+                assert type(node.children) is tuple
+                assert Tree(node.label, node.children) == node
+                assert node._hash is None
+
+
+def test_normalize_agrees_with_rebuilding_normalize():
+    rng = random.Random(3)
+    for _ in range(300):
+        for tree in read_trees(_random_bank_text(rng)):
+            got = normalize(tree)
+            assert got == _reference_normalize(tree)
+            if got is not None:
+                assert normalize(got) is got
+
+
+def test_normalize_returns_unchanged_subtrees_as_they_are(toy_treebank):
+    tree = read_trees("(S (NP-SBJ (DT the) (NN dog)) (VP (V barks)) "
+                      "(-NONE- *))")[0]
+    got = normalize(tree)
+    assert write_tree(got) == "(S (NP (DT the) (NN dog)) (VP (V barks)))"
+    assert got.children[0].children == tree.children[0].children
+    assert all(new is old for new, old in zip(got.children[0].children,
+                                              tree.children[0].children))
+    assert got.children[1] is tree.children[1]
+    normalized, skipped = normalize_treebank(toy_treebank)
+    assert skipped == 0
+    assert all(new is old
+               for new, old in zip(normalized.trees, toy_treebank.trees))
+
+
+def test_deep_chain_hashes_and_compares_without_recursion():
+    key, _ = unary_chain_model(5000)
+    tree, copy = read_trees(key)[0], read_trees(key)[0]
+    assert tree is not copy
+    assert hash(tree) == hash(copy)
+    assert tree == copy and not tree != copy
+    changed = read_trees(key.replace("(X4000 ", "(Y4000 "))[0]
+    assert tree != changed and hash(tree) != hash(changed)
+    word = read_trees(key.replace(" w)", " v)"))[0]
+    assert tree != word
+    assert {tree: 1}[copy] == 1
+
+
+def test_hash_is_hash_of_label_and_children():
+    rng = random.Random(7)
+    for _ in range(200):
+        tree = random_tree(rng, max_internal=15, max_depth=5)
+        again = read_trees(write_tree(tree))[0]
+        assert hash(again) == hash((again.label, again.children))
+        assert hash(tree) == hash(again) and tree == again
+    structure = Tree("S", (Site("NP"), Tree("VP", (Site("V"),))))
+    assert hash(structure) == hash(("S", structure.children))
+    assert structure == Tree("S", (Site("NP"), Tree("VP", (Site("V"),))))
+    assert structure != Tree("S", (Site("NP"), Tree("VP", ("V",))))
+    assert structure != Tree("S", (Site("NP"), Tree("VP", (Site("X"),))))
