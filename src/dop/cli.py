@@ -304,10 +304,10 @@ _WORKER_STATE = {}
 
 
 def _worker_init(parser):
-    # The model and the parser's indexes outlive every sentence. Frozen,
-    # they are left out of the cycle collector's collections, which would
+    # The parser's rules and indexes outlive every sentence. Frozen, they
+    # are left out of the cycle collector's collections, which would
     # otherwise re-scan them every few sentences (a pause that grows with
-    # the model and lands on whichever sentence is parsing).
+    # the grammar and lands on whichever sentence is parsing).
     _WORKER_STATE["parser"] = parser
     gc.freeze()
 
@@ -327,13 +327,12 @@ def _worker_parse(words):
             result.derivations_examined, seconds)
 
 
-def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
-    """[(bracketed-or-None, probability, derivations, seconds)] in order."""
-    # Built before any worker starts, so that a bad setting fails the
-    # command once. Its indexes form no cycles: the collector stays off
-    # while they are built, as in load_model.
-    with collector_paused():
-        parser = SentenceParser(model, n_best=n_best, prune_ratio=prune_ratio)
+def _parse_corpus(parser, sentences, workers):
+    """[(bracketed-or-None, probability, derivations, seconds)] in order.
+
+    The parser is built before any worker starts, so that a bad setting
+    fails the command once; a pool is sent the parser, not the model.
+    """
     if workers > 1 and len(sentences) > 1:
         # imported here: no other command, nor a one-worker parse, pays
         # for the import
@@ -345,24 +344,28 @@ def _parse_corpus(model, sentences, n_best, prune_ratio, workers):
     try:
         return [_worker_parse(words) for words in sentences]
     finally:
-        # in-process callers get the collector back, and the model can go
-        # as soon as they drop it
+        # in-process callers get the collector back, and the parser can
+        # go as soon as they drop it
         gc.unfreeze()
         del _WORKER_STATE["parser"]
 
 
 def cmd_parse(args) -> int:
     options = _Options(args)
-    # Frozen before the collector comes back, the model is never scanned:
-    # the first young collection after the load would scan all of it once.
+    n_best = options.integer("n_best")
+    prune_ratio = options.floating("prune_ratio")
+    # The model and the parser's indexes form no cycles, so the collector
+    # stays off while they are built. The model is dropped once its parser
+    # is built: sentences are parsed from the rules alone. Frozen before
+    # the collector comes back, the parser is never scanned: the first
+    # young collection after the build would scan all of it once.
     with collector_paused():
-        model = load_model(args.model)
+        parser = SentenceParser(load_model(args.model), n_best=n_best,
+                                prune_ratio=prune_ratio)
         gc.freeze()
     try:
         sentences = _read_sentences(args.input)
-        rows = _parse_corpus(model, sentences, options.integer("n_best"),
-                             options.floating("prune_ratio"),
-                             options.integer("workers"))
+        rows = _parse_corpus(parser, sentences, options.integer("workers"))
     finally:
         gc.unfreeze()
     out = _open_out(args.output)
@@ -418,8 +421,13 @@ def cmd_experiment(args) -> int:
                   file=sys.stderr)
             write_model(model, os.path.join(args.out,
                                             "model_%s.dopmodel" % bound))
-            rows = _parse_corpus(model, sentences, n_best, prune_ratio,
-                                 workers)
+            # the model goes before the sentences are parsed (see cmd_parse)
+            with collector_paused():
+                parser = SentenceParser(model, n_best=n_best,
+                                        prune_ratio=prune_ratio)
+            del model
+            rows = _parse_corpus(parser, sentences, workers)
+            del parser
             parse_path = os.path.join(args.out, "parse_%s.txt" % bound)
             with open(parse_path, "w", encoding="utf8") as handle:
                 for bracketed, _, _, _ in rows:

@@ -18,7 +18,6 @@ import re
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain, compress, product
 from math import prod
 
@@ -73,9 +72,13 @@ class Fragment:
         raise AttributeError("Fragment is immutable")
 
     @classmethod
-    def from_string(cls, key: str) -> "Fragment":
-        """Read a key in any spacing; the fragment's key is the canonical form."""
-        _, frontier, canonical = _read_key(key)
+    def from_string(cls, key: str, pieces=None) -> "Fragment":
+        """Read a key in any spacing; the fragment's key is the canonical form.
+
+        A reader of many keys passes one `KeyPieces` to all its calls, and
+        drops it when done (see _canonical_frontier).
+        """
+        _, frontier, canonical = _read_key(key, pieces=pieces)
         fragment = cls(canonical)
         object.__setattr__(fragment, "_frontier", frontier)
         return fragment
@@ -129,7 +132,7 @@ class Fragment:
         return self.key
 
 
-def _read_key(text, build=False):
+def _read_key(text, build=False, pieces=None):
     """(structure, frontier, canonical key) of a bracketed key, in one pass.
 
     The structure is built only when asked for, and is None otherwise. The
@@ -139,7 +142,7 @@ def _read_key(text, build=False):
     frontier read piece by piece instead (see _canonical_frontier).
     """
     if not build:
-        frontier = _canonical_frontier(text)
+        frontier = _canonical_frontier(text, pieces)
         if frontier is not None:
             return None, frontier, text
 
@@ -194,24 +197,36 @@ def _read_key(text, build=False):
     return node if build else None, tuple(frontier), key
 
 
-def _canonical_frontier(text):
+class KeyPieces(dict):
+    """What each piece of a canonical key reads as (see _piece), read on
+    first lookup. Keys share most of their pieces, so a reader of many
+    keys that shares one reads each distinct piece once."""
+
+    def __missing__(self, piece):
+        kind = self[piece] = _piece(piece)
+        return kind
+
+
+def _canonical_frontier(text, pieces=None):
     """The frontier of a well-formed canonical key, or None for any other
     text, which _read_key then reads token by token.
 
     A canonical key splits at its spaces into pieces of three kinds (see
     _piece). A word piece must follow an opening one, which makes the word
     its node's only child, and the root's closing bracket must be the
-    key's last.
+    key's last. pieces is a `KeyPieces` to read them through, or None.
     """
     if not text.isprintable():     # the space is the only printable blank
         return None
-    pieces = text.split(" ")
-    last = len(pieces) - 1
+    if pieces is None:
+        pieces = KeyPieces()
+    split = text.split(" ")
+    last = len(split) - 1
     frontier = []
     depth = 0
     opened = False
-    for i, piece in enumerate(pieces):
-        kind = _piece(piece)
+    for i, piece in enumerate(split):
+        kind = pieces[piece]
         if kind is _OPENING:
             depth += 1
             opened = True
@@ -234,13 +249,12 @@ def _canonical_frontier(text):
 _OPENING = (1, None, False)
 
 
-@lru_cache(maxsize=1 << 16)
 def _piece(piece):
     """What a space-separated piece of a canonical key holds: _OPENING for
     "(label", which opens a node with children; (depth change, site, False)
     for "(label)" and (depth change, word, True) for "word)", each followed
     by the closes of its ancestors; None for a piece no canonical key
-    holds. Keys share most of their pieces, so the cache reads each once."""
+    holds."""
     end = piece.find(")")
     if end < 0:
         if piece.rfind("(") != 0 or len(piece) == 1:

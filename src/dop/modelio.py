@@ -16,6 +16,7 @@ Layout (all fields tab-separated, fractions as "a/b")::
 Everything is sorted (roots and priors by label, entries by root then key)
 so equal models serialize to identical bytes. The file is written and read
 line by line: neither side holds its whole text or a list of its lines.
+Entries with the same count or probability text share one number object.
 Keys are read back in canonical form: a key written with other spacing
 (``(S  (NP john)\t(VP))``) loads as the fragment whose key is
 ``(S (NP john) (VP))``. A malformed row of any kind (a bad key, a field
@@ -31,7 +32,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
-from .fragments import Fragment, RestrictionSet
+from .fragments import Fragment, KeyPieces, RestrictionSet
 from .model import FragmentModel, ModelEntry, UnknownWordModel
 
 _FORMAT_VERSION = "1"
@@ -171,7 +172,19 @@ def model_from_text(text) -> FragmentModel:
                 raise ValueError("unknown record %r" % tag)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
-    entries = {}
+    # A model has few distinct counts and probabilities (745 probabilities
+    # among 473989 entries), so each distinct text is read once and its
+    # entries share the number. The entries are made after every row is
+    # read, so they fill memory of their own, not gaps between the
+    # fragments: a parser that keeps the fragments and drops the model
+    # frees whole blocks, not holes that would scatter each sentence's
+    # chart over the fragments' memory and slow it down.
+    pieces = KeyPieces()       # the key pieces read so far
+    read_counts = {}           # count text -> int or Fraction
+    read_probabilities = {}    # probability text -> Fraction
+    fragments = []
+    counts = []
+    probabilities = []
     for lineno, line in lines:
         row = line.rstrip("\n")
         if not row:
@@ -181,11 +194,22 @@ def model_from_text(text) -> FragmentModel:
         except ValueError:
             raise ModelFormatError("line %d: bad entry row" % lineno) from None
         try:
-            fragment = Fragment.from_string(key)
-            entries[fragment.key] = ModelEntry(
-                fragment, _parse_num(count), _probability(probability))
+            fragments.append(Fragment.from_string(key, pieces))
+            number = read_counts.get(count)
+            if number is None:
+                number = read_counts[count] = _parse_num(count)
+            counts.append(number)
+            share = read_probabilities.get(probability)
+            if share is None:
+                share = read_probabilities[probability] = \
+                    _probability(probability)
+            probabilities.append(share)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
+    entries = {}
+    for fragment, count, probability in zip(fragments, counts,
+                                            probabilities):
+        entries[fragment.key] = ModelEntry(fragment, count, probability)
     unknown = None
     if unk_threshold is not None:
         unknown = UnknownWordModel(threshold=unk_threshold,

@@ -4,11 +4,14 @@ Each model fragment becomes a rule: lhs = the fragment's root, rhs = its
 frontier (words and substitution sites) left to right. Rule right-hand
 sides are matched through a shared prefix trie, which left-factors long
 rules into binary steps; the dotted prefix items this creates are internal
-to the parser. The inside pass is a bottom-up CKY with per-span pruning on
-prior-weighted scores; derivations come out of the pruned forest through
-lazy n-best extraction as bracketed strings, and the most probable parse
-sums derivation probabilities per string. A parse is that string; a Tree
-is read from it only when asked for.
+to the parser. The trie's nodes are numbered in the order they are made,
+and a list indexed by node holds the rules that end at each. A parser
+keeps the rules, not the model they came from. The inside pass is a
+bottom-up CKY with per-span pruning on prior-weighted scores; derivations
+come out of the pruned forest through lazy n-best extraction as bracketed
+strings, and the most probable parse sums derivation probabilities per
+string. A parse is that string; a Tree is read from it only when asked
+for.
 """
 
 import math
@@ -100,14 +103,23 @@ def _rule(fragment, probability, index) -> IndexedRule:
 
 
 def to_rules(model: FragmentModel) -> list:
-    """One rule per model entry, in deterministic (root, key) order."""
+    """One rule per model entry, in deterministic (root, key) order.
+
+    The rules of one root share one lhs string.
+    """
     entries = model.entries
+    labels = {}
+    keyed = []
+    for key, entry in entries.items():
+        root = entry.fragment.root
+        keyed.append((labels.setdefault(root, root), key))
+    keyed.sort()
     rules = []
-    for index, (root, key) in enumerate(sorted(
-            (entry.fragment.root, key) for key, entry in entries.items())):
-        fragment = entries[key].fragment
+    for index, (root, key) in enumerate(keyed):
+        entry = entries[key]
+        fragment = entry.fragment
         rules.append(IndexedRule(root, fragment.frontier, fragment,
-                                 _log(entries[key].probability), index))
+                                 _log(entry.probability), index))
     return rules
 
 
@@ -198,7 +210,11 @@ class ChartParser:
     items are complete, any real (non-dotted) item whose prior-weighted
     score is below prune_ratio times the span's best is dropped.
     Rules are matched through a prefix trie over their right-hand sides,
-    built here; unary_cycle is a label on a cycle of unary rules, or None.
+    built here: first_step maps a symbol to the node that reads it first,
+    steps_on maps a symbol to the {node: next node} steps that read it
+    later, and completions[node] is the tuple of rules that end at node,
+    in rule order; unary_cycle is a label on a cycle of unary rules, or
+    None.
     A cell is filled in three phases: binary steps make its prefix items,
     one completion queue makes its complete items, and pruning drops the
     weak ones. Every edge is appended once, so none is deduplicated.
@@ -222,9 +238,11 @@ class ChartParser:
         # symbol -> {trie node: next trie node}: the steps that read the
         # symbol after the first rhs position
         steps_on = self.steps_on = {}
-        completions = defaultdict(list)       # trie node -> [rule]
+        # trie node -> the rules whose rhs ends there, in rule order, as a
+        # tuple of exactly that size (most hold one rule), or (); nodes are
+        # numbered in the order they are made, so they index a list
+        completions = self.completions = []
         unary_edges = defaultdict(set)
-        nodes = 0
         for rule in self.rules:
             rhs = rule.rhs
             node = None
@@ -243,12 +261,11 @@ class ChartParser:
                     key = node
                 node = steps.get(key)
                 if node is None:
-                    node = steps[key] = nodes
-                    nodes += 1
-            completions[node].append(rule)
+                    node = steps[key] = len(completions)
+                    completions.append(())
+            completions[node] += (rule,)
             if len(rhs) == 1 and sym[0] == "n":
                 unary_edges[rule.lhs].add(sym[1])
-        self.completions = completions
         self.unary_cycle = _find_cycle(unary_edges)
 
     def _log_prior(self, label):
@@ -359,7 +376,9 @@ class ChartParser:
         for tail in queue:
             sym = tail.sym
             node = sym[1] if sym[0] == "p" else first.get(sym)
-            for rule in completions.get(node, ()):
+            if node is None:
+                continue
+            for rule in completions[node]:
                 nsym = ("n", rule.lhs)
                 item = cell.get(nsym)
                 if item is None:
@@ -658,7 +677,13 @@ def _logsumexp(logs):
 
 class SentenceParser(ChartParser):
     """A ChartParser over a model's rules and priors, with rules for its
-    out-of-vocabulary words and most-probable-parse selection."""
+    out-of-vocabulary words and most-probable-parse selection.
+
+    Of the model it keeps its rules and what oov_rules reads (the
+    unknown-word model, root totals, reserved mass and whether it is
+    smoothed), not the model: once the caller drops the model, its entries
+    and their exact counts and probabilities are freed.
+    """
 
     def __init__(self, model: FragmentModel, n_best: int = 1000,
                  prune_ratio: float = 1e-5):
@@ -666,8 +691,11 @@ class SentenceParser(ChartParser):
             raise ValueError("n_best must be >= 1")
         super().__init__(to_rules(model), model.start_labels,
                          priors=model.priors, prune_ratio=prune_ratio)
-        self.model = model
         self.n_best = n_best
+        self.unknown_words = model.unknown_words
+        self.root_totals = model.root_totals
+        self.reserved_mass = model.reserved_mass
+        self.smoothed = model.smoothed
         # the model's words: each one is a word symbol of the trie
         self.vocabulary = {sym[1] for sym in chain(self.first_step,
                                                    self.steps_on)
@@ -676,7 +704,7 @@ class SentenceParser(ChartParser):
     def oov_rules(self, words) -> list:
         """Depth-1 rules for out-of-vocabulary words via the unknown-word model."""
         rules = []
-        unknown = self.model.unknown_words
+        unknown = self.unknown_words
         if unknown is None:
             return rules
         for word in sorted(set(words) - self.vocabulary):
@@ -684,11 +712,11 @@ class SentenceParser(ChartParser):
                 continue          # no fragment key can hold a bracket
             distribution = unknown.tag_distribution(word)
             for tag, share in sorted(distribution.items()):
-                total = self.model.root_totals.get(tag)
+                total = self.root_totals.get(tag)
                 if total is None:
                     continue
-                if self.model.smoothed:
-                    mass = self.model.reserved_mass.get(tag, Fraction(0))
+                if self.smoothed:
+                    mass = self.reserved_mass.get(tag, Fraction(0))
                     probability = mass * share
                 else:
                     probability = share / (Fraction(total) + 1)

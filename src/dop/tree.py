@@ -142,7 +142,19 @@ class Tree:
         return self._hash
 
     def __reduce__(self):
-        return (Tree, (self.label, self.children))
+        # flat, so that pickling a deep tree nests no call per level: each
+        # node in preorder as its label and child count, each word or site
+        # below it as itself and 0
+        flat = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Tree):
+                flat += (node.label, len(node.children))
+                stack.extend(reversed(node.children))
+            else:
+                flat += (node, 0)
+        return (_unflatten, (tuple(flat),))
 
     def __repr__(self):
         return "Tree(%s)" % write_tree(self)
@@ -163,6 +175,21 @@ def _node(label, children):
     _set_children(node, children)
     _set_hash(node, None)
     return node
+
+
+def _unflatten(flat):
+    """The Tree that `Tree.__reduce__` flattened: read backwards, each
+    node's children are the values on top of the stack, first child
+    uppermost."""
+    stack = []
+    pop = stack.pop
+    for i in range(len(flat) - 2, -1, -2):
+        count = flat[i + 1]
+        if count:
+            stack.append(_node(flat[i], tuple([pop() for _ in range(count)])))
+        else:
+            stack.append(flat[i])
+    return stack[0]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ import pytest
 
 import dop.parser
 from dop.cli import _parse_corpus, main
-from dop import GrammarError, load_model, read_trees, write_tree
+from dop import (GrammarError, SentenceParser, load_model, read_trees,
+                 write_tree)
 from dop.modelio import ModelFormatError, model_to_text
 from dop.tree import write_treebank
 from conftest import TOY_CORPUS, synthetic_treebank, unary_chain_model
@@ -303,25 +304,72 @@ def test_parse_freezes_model_only_while_parsing(toy_paths, tmp_path,
 
 
 def test_serial_parse_releases_model(toy_paths, monkeypatch):
+    # the parser holds no reference to its model, and a serial parse holds
+    # none to the parser once it returns or fails
     _, model_path = toy_paths
     sentences = [["john", "likes", "mary"]]
     model = load_model(model_path)
-    alive = weakref.ref(model)
-    rows = _parse_corpus(model, sentences, 100, 1e-5, 1)
-    assert rows[0][0] == "(S (NP john) (VP (V likes) (NP mary)))"
+    model_alive = weakref.ref(model)
+    parser = SentenceParser(model, n_best=100)
     del model
+    assert model_alive() is None
+    alive = weakref.ref(parser)
+    rows = _parse_corpus(parser, sentences, 1)
+    assert rows[0][0] == "(S (NP john) (VP (V likes) (NP mary)))"
+    del parser
     assert alive() is None
 
     def failing_parse(self, words):
         raise AssertionError("derivation probability drift")
 
     monkeypatch.setattr(dop.parser.SentenceParser, "parse", failing_parse)
-    model = load_model(model_path)
-    alive = weakref.ref(model)
+    parser = SentenceParser(load_model(model_path), n_best=100)
+    alive = weakref.ref(parser)
     with pytest.raises(AssertionError, match="drift"):
-        _parse_corpus(model, sentences, 100, 1e-5, 1)
-    del model
+        _parse_corpus(parser, sentences, 1)
+    del parser
     assert alive() is None
+
+
+def test_parse_and_experiment_drop_the_model_before_parsing(
+        toy_paths, tmp_path, monkeypatch):
+    # sentences are parsed from the rules alone: no model is alive then
+    import dop.cli
+    train, model_path = toy_paths
+    models = []
+
+    def recording(name):
+        function = getattr(dop.cli, name)
+
+        def record(*args, **kwargs):
+            result = function(*args, **kwargs)
+            model = result[0] if isinstance(result, tuple) else result
+            models.append(weakref.ref(model))
+            return result
+        monkeypatch.setattr(dop.cli, name, record)
+
+    alive = []
+    parse = dop.parser.SentenceParser.parse
+
+    def recording_parse(self, words):
+        alive.append(any(model() is not None for model in models))
+        return parse(self, words)
+
+    recording("load_model")
+    recording("_train_model")
+    monkeypatch.setattr(dop.parser.SentenceParser, "parse", recording_parse)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates susan\n")
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(tmp_path / "out.txt")]) == 0
+    assert len(models) == 1 and alive == [False, False]
+    gold = tmp_path / "gold.mrg"
+    gold.write_text(TOY_CORPUS)
+    assert main(["experiment", "--train", str(train), "--test", str(gold),
+                 "--sweep", "depth", "--values", "1,2",
+                 "--sample-per-depth", "none",
+                 "--out", str(tmp_path / "exp")]) == 0
+    assert len(models) == 3 and alive == [False] * 6
 
 
 def test_score_identity(toy_paths, tmp_path, capsys):
@@ -658,9 +706,10 @@ def test_collector_paused_only_while_model_and_parser_build(
         raise ValueError("bad grammar")
 
     monkeypatch.setattr(dop.parser.SentenceParser, "__init__", failing_build)
-    with pytest.raises(ValueError, match="bad grammar"):
-        _parse_corpus(read(model_path.read_text()), [["john"]], 10, 1e-5, 1)
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(out)]) == 2
     assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
 
 
 def test_train_and_parse_run_with_collector_paused(toy_paths, tmp_path,

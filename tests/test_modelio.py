@@ -41,6 +41,37 @@ def test_loaded_frontiers_share_sites_and_words(toy_model):
     assert lazy[0] is first["mary"] and lazy[1] is first[Site("VP")]
 
 
+def test_loaded_entries_share_equal_numbers(toy_model):
+    # one count and one probability object per distinct text in the file
+    for model in (toy_model, good_turing_adjust(toy_model)):
+        loaded = model_from_text(model_to_text(model))
+        for field in ("count", "probability"):
+            first = {}
+            for entry in loaded.entries.values():
+                value = getattr(entry, field)
+                assert first.setdefault((type(value), value), value) is value
+            assert len(first) < len(loaded.entries)
+
+
+def test_key_pieces_are_dropped_with_the_load(tmp_path, toy_model,
+                                              monkeypatch):
+    import weakref
+    import dop.modelio
+    made = []
+
+    class RecordedPieces(dop.modelio.KeyPieces):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(dop.modelio, "KeyPieces", RecordedPieces)
+    path = tmp_path / "toy.dopmodel"
+    write_model(toy_model, path)
+    loaded = load_model(path)
+    assert len(made) == 1 and made[0]() is None
+    assert set(loaded.entries) == set(toy_model.entries)
+
+
 def test_serialization_deterministic_and_stable(toy_model):
     text = model_to_text(toy_model)
     assert text == model_to_text(model_from_text(text))

@@ -87,6 +87,39 @@ def test_rules_pickle_and_keep_lazy_fields(toy_model):
     assert copy.parse(words).tree_tallies == parser.parse(words).tree_tallies
 
 
+def test_rules_of_one_root_share_one_lhs():
+    bank = read_treebank("\n".join(write_tree(random_tree(
+        random.Random(seed), max_internal=12)) for seed in range(30)))
+    model = build_model(extract_treebank(bank), RestrictionSet(),
+                        TOY_HEAD_RULES)
+    rules = to_rules(model)
+    shared = {}
+    for rule in rules:
+        assert shared.setdefault(rule.lhs, rule.lhs) is rule.lhs
+        assert rule.lhs == rule.fragment.root
+    assert len(shared) > 1 and len(rules) > 10 * len(shared)
+
+
+def test_sentence_parser_pickles_without_the_model(toy_treebank, toy_model):
+    # a worker pool is sent the parser: it carries the rules and what
+    # oov_rules reads, not the model's entries
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    parser = SentenceParser(toy_model, n_best=1000, prune_ratio=1e-300)
+    assert not hasattr(parser, "model")
+    data = pickle.dumps(parser)
+    assert b"ModelEntry" not in data and b"FragmentModel" not in data
+    copy = pickle.loads(data)
+    for words in ("john likes mary", "sam likes mary", "peter hates susan"):
+        words = words.split()
+        assert copy.parse(words).tree_tallies == \
+            parser.parse(words).tree_tallies
+    words = "sam likes mary".split()
+    guesses = [(r.lhs, r.fragment, r.logprob, r.index)
+               for r in parser.oov_rules(words)]
+    assert guesses and guesses == [(r.lhs, r.fragment, r.logprob, r.index)
+                                   for r in copy.oov_rules(words)]
+
+
 def test_to_rules_bijection(toy_model):
     rules = to_rules(toy_model)
     assert len(rules) == len(toy_model.entries)
@@ -370,16 +403,12 @@ def test_chart_keeps_a_stale_inside_score():
     assert chart.start_items == [c]
 
 
-class _CountingDict(dict):
+class _CountingList(list):
     lookups = 0
 
-    def get(self, key, default=None):
+    def __getitem__(self, index):
         self.lookups += 1
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
+        return super().__getitem__(index)
 
 
 def test_unary_chain_completion_is_linear():
@@ -394,13 +423,54 @@ def test_unary_chain_completion_is_linear():
                         start_labels={"X0"})
     parser = ChartParser(to_rules(model), start_labels=["X0"],
                          prune_ratio=1e-300)
-    parser.completions = _CountingDict(parser.completions)
+    parser.completions = _CountingList(parser.completions)
     chart = parser.chart(["w"])
     lookups = parser.completions.lookups
     items = sum(len(cell) for cell in chart.cells.values())
     assert items == depth + 1
     assert [item.label for item in chart.start_items] == ["X0"]
     assert lookups <= 2 * items
+
+
+def _reference_completions(parser):
+    # trie node -> the rules whose rhs ends there, in rule order, found by
+    # walking each rule's rhs through the trie
+    reference = {}
+    for rule in parser.rules:
+        node = None
+        for element in rule.rhs:
+            sym = ("w", element) if isinstance(element, str) else \
+                ("n", element.label)
+            node = (parser.first_step[sym] if node is None
+                    else parser.steps_on[sym][node])
+        reference.setdefault(node, []).append(rule)
+    return reference
+
+
+def test_completions_index_matches_rules_on_random_banks():
+    rng = random.Random(3701)
+    shared_ends = 0
+    for _ in range(30):
+        bank = Treebank(tuple(random_tree(rng, max_internal=12)
+                              for _ in range(rng.randint(1, 6))))
+        model = build_model(extract_treebank(bank), RestrictionSet(),
+                            TOY_HEAD_RULES,
+                            start_labels={t.label for t in bank.trees})
+        parser = ChartParser(to_rules(model), start_labels={"S"})
+        completions = parser.completions
+        # nodes are numbered 0..N-1 in the order they were made
+        nodes = list(parser.first_step.values()) + [
+            node for steps in parser.steps_on.values()
+            for node in steps.values()]
+        assert sorted(nodes) == list(range(len(completions)))
+        assert isinstance(completions, list)
+        reference = _reference_completions(parser)
+        for node, rules in enumerate(completions):
+            assert type(rules) is tuple
+            assert rules == tuple(reference.get(node, ())), node
+            shared_ends += len(rules) > 1
+        assert sum(map(len, completions)) == len(parser.rules)
+    assert shared_ends > 30
 
 
 # ------------------------------------------------------ exact sums

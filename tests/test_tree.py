@@ -1,3 +1,4 @@
+import pickle
 import random
 import re
 from collections import Counter
@@ -95,6 +96,25 @@ def test_deep_unary_chain_round_trips():
     tree = read_trees(key)[0]
     assert write_tree(tree) == key
     assert repr(tree) == "Tree(%s)" % key
+
+
+def test_deep_unary_chain_pickles():
+    # a pickled tree is one flat tuple: no call nests per tree level
+    key, _ = unary_chain_model(3000)
+    tree = read_trees(key)[0]
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and write_tree(copy) == key
+
+
+def test_pickle_round_trips_trees_with_sites():
+    rng = random.Random(23)
+    trees = [random_tree(rng, max_internal=12) for _ in range(100)]
+    trees.append(Tree("S", (Tree("NP", (Site("NP"),)), Site("VP"))))
+    for tree in trees:
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree and write_tree(copy) == write_tree(tree)
+        assert [node.children for node in copy.subtrees()] == \
+            [node.children for node in tree.subtrees()]
 
 
 def test_deep_unary_chain_depth_and_normalize():
