@@ -3,6 +3,12 @@
 Commands: train, parse, experiment, score, oracle. Exit codes: 0 success,
 1 usage error, 2 data error. All options can also come from a --config
 file of key=value lines; explicit command-line values win.
+
+Every command runs with Python's cycle collector off, set once in `main`
+and back as the caller had it when `main` returns. Trees, fragments,
+models, charts and derivations hold no reference cycles, so reference
+counting frees whatever a command drops, and a collection would only
+scan live data again.
 """
 
 import argparse
@@ -241,47 +247,35 @@ def collect_fragments(treebank, restriction, seed, cache=None):
 
 
 def _train_model(treebank, restriction, options, cache=None):
-    # Training makes no reference cycles (see cmd_train), so the cycle
-    # collector is paused here too: an experiment grid point trains
-    # through this function alone.
-    with collector_paused():
-        rules = _load_head_rules(options)
-        seed = options.integer("seed")
-        fragments, depth_counts = collect_fragments(treebank, restriction,
-                                                    seed, cache=cache)
-        start_labels = frozenset(tree.label for tree in treebank.trees)
-        model = build_model(fragments, restriction, rules,
-                            start_labels=start_labels)
-        if options.smoothing():
-            model = good_turing_adjust(model)
-        try:
-            model.unknown_words = train_unknown_model(
-                treebank, options.integer("unknown_threshold"))
-        except GrammarError as err:
-            print("unknown-word model skipped: %s" % err, file=sys.stderr)
-        return model, depth_counts
+    rules = _load_head_rules(options)
+    seed = options.integer("seed")
+    fragments, depth_counts = collect_fragments(treebank, restriction,
+                                                seed, cache=cache)
+    start_labels = frozenset(tree.label for tree in treebank.trees)
+    model = build_model(fragments, restriction, rules,
+                        start_labels=start_labels)
+    if options.smoothing():
+        model = good_turing_adjust(model)
+    try:
+        model.unknown_words = train_unknown_model(
+            treebank, options.integer("unknown_threshold"))
+    except GrammarError as err:
+        print("unknown-word model skipped: %s" % err, file=sys.stderr)
+    return model, depth_counts
 
 
 def cmd_train(args) -> int:
     options = _Options(args)
-    # Trees, fragments and the model hold no reference cycles: reference
-    # counting frees whatever training drops, and a collection would only
-    # scan the live treebank again (about a fifth of the command's time).
-    with collector_paused():
-        treebank = _read_normalized_treebank(args.train)
-        model, depth_counts = _train_model(treebank, options.restriction(),
-                                           options)
-        # the trees and their cached node lists go before the write's peak
-        del treebank
-        write_model(model, args.model)
-        entries, roots = len(model.entries), len(model.root_totals)
-        # the first collection after the pause would scan every object
-        # made during it that is still alive: drop the model first
-        del model
+    treebank = _read_normalized_treebank(args.train)
+    model, depth_counts = _train_model(treebank, options.restriction(),
+                                       options)
+    # the trees and their cached node lists go before the write's peak
+    del treebank
+    write_model(model, args.model)
     for depth in sorted(depth_counts):
         print("depth %d: %d fragment tokens" % (depth, depth_counts[depth]))
     print("model: %d fragments over %d roots -> %s"
-          % (entries, roots, args.model))
+          % (len(model.entries), len(model.root_totals), args.model))
     return 0
 
 
@@ -304,27 +298,24 @@ _WORKER_STATE = {}
 
 
 def _worker_init(parser):
-    # The parser's rules and indexes outlive every sentence. Frozen, they
-    # are left out of the cycle collector's collections, which would
-    # otherwise re-scan them every few sentences (a pause that grows with
-    # the grammar and lands on whichever sentence is parsing).
+    # a spawned or forkserver worker does not inherit the collector state
+    # that `main` set
     _WORKER_STATE["parser"] = parser
-    gc.freeze()
+    gc.disable()
 
 
-def _worker_parse(words):
-    parser = _WORKER_STATE["parser"]
+def _parse_one(parser, words):
     started = time.perf_counter()
-    # A sentence's chart and derivations hold no reference cycles, so
-    # reference counting frees them when the parse returns; a collection
-    # during the parse would only scan them.
-    with collector_paused():
-        result = parser.parse(words) if words else None
+    result = parser.parse(words) if words else None
     seconds = time.perf_counter() - started
     if result is None:
         return None, 0.0, 0, seconds
     return (result.bracketed, result.probability,
             result.derivations_examined, seconds)
+
+
+def _worker_parse(words):
+    return _parse_one(_WORKER_STATE["parser"], words)
 
 
 def _parse_corpus(parser, sentences, workers):
@@ -340,34 +331,19 @@ def _parse_corpus(parser, sentences, workers):
         with multiprocessing.Pool(workers, initializer=_worker_init,
                                   initargs=(parser,)) as pool:
             return pool.map(_worker_parse, sentences)
-    _worker_init(parser)
-    try:
-        return [_worker_parse(words) for words in sentences]
-    finally:
-        # in-process callers get the collector back, and the parser can
-        # go as soon as they drop it
-        gc.unfreeze()
-        del _WORKER_STATE["parser"]
+    return [_parse_one(parser, words) for words in sentences]
 
 
 def cmd_parse(args) -> int:
     options = _Options(args)
     n_best = options.integer("n_best")
     prune_ratio = options.floating("prune_ratio")
-    # The model and the parser's indexes form no cycles, so the collector
-    # stays off while they are built. The model is dropped once its parser
-    # is built: sentences are parsed from the rules alone. Frozen before
-    # the collector comes back, the parser is never scanned: the first
-    # young collection after the build would scan all of it once.
-    with collector_paused():
-        parser = SentenceParser(load_model(args.model), n_best=n_best,
-                                prune_ratio=prune_ratio)
-        gc.freeze()
-    try:
-        sentences = _read_sentences(args.input)
-        rows = _parse_corpus(parser, sentences, options.integer("workers"))
-    finally:
-        gc.unfreeze()
+    # the model is dropped once its parser is built: sentences are parsed
+    # from the rules alone
+    parser = SentenceParser(load_model(args.model), n_best=n_best,
+                            prune_ratio=prune_ratio)
+    sentences = _read_sentences(args.input)
+    rows = _parse_corpus(parser, sentences, options.integer("workers"))
     out = _open_out(args.output)
     try:
         for bracketed, _, _, _ in rows:
@@ -404,10 +380,8 @@ def cmd_experiment(args) -> int:
     workers = options.integer("workers")
 
     os.makedirs(args.out, exist_ok=True)
-    # trees hold no reference cycles (see cmd_train)
-    with collector_paused():
-        treebank = _read_normalized_treebank(args.train)
-        gold = _read_normalized_treebank(args.test)
+    treebank = _read_normalized_treebank(args.train)
+    gold = _read_normalized_treebank(args.test)
     sentences = [tree.leaves() for tree in gold.trees]
 
     cache = {}
@@ -422,9 +396,8 @@ def cmd_experiment(args) -> int:
             write_model(model, os.path.join(args.out,
                                             "model_%s.dopmodel" % bound))
             # the model goes before the sentences are parsed (see cmd_parse)
-            with collector_paused():
-                parser = SentenceParser(model, n_best=n_best,
-                                        prune_ratio=prune_ratio)
+            parser = SentenceParser(model, n_best=n_best,
+                                    prune_ratio=prune_ratio)
             del model
             rows = _parse_corpus(parser, sentences, workers)
             del parser
@@ -524,7 +497,8 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return exit_.code or 0
     try:
-        return _COMMANDS[args.command](args)
+        with collector_paused():
+            return _COMMANDS[args.command](args)
     except _DATA_ERRORS as err:
         print("dop %s: %s" % (args.command, err), file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, compress, product
 from math import prod
 
-from .tree import _TOKEN, Site, Tree, Treebank, _bottom_up, _tokenize
+from .tree import _TOKEN, Site, Tree, Treebank, _bottom_up
 from .heads import HeadRuleTable
 
 
@@ -149,10 +149,7 @@ def _read_key(text, build=False, pieces=None):
     def fail(msg):
         raise ValueError("bad fragment key %r: %s" % (text, msg))
 
-    if "\n" in text:  # a key is one line; others may hold '#' comment lines
-        tokens = [tok for tok, _, _ in _tokenize(text)]
-    else:
-        tokens = _TOKEN.findall(text)
+    tokens = _TOKEN.findall(text)
     if not tokens or tokens[0] != "(":
         fail("expected '('")
     last = len(tokens) - 1

@@ -257,6 +257,7 @@ def collector_paused():
 
 def load_model(path) -> FragmentModel:
     # The model's objects form no cycles, so a full collection while they
-    # are built would only scan them again.
+    # are built would only scan them again. `dop` commands already run
+    # with the collector off; this pause is for library callers.
     with open(path, encoding="utf8") as handle, collector_paused():
         return model_from_text(handle)

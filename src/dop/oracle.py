@@ -33,28 +33,33 @@ def compose(left, right):
     """
     lstruct = left.structure if isinstance(left, Fragment) else left
     rstruct = right.structure if isinstance(right, Fragment) else right
-
-    def substitute(node):
-        # returns (new node, replaced?) rebuilding only the leftmost path
-        children = list(node.children)
-        for i, child in enumerate(children):
-            if isinstance(child, Site):
-                if child.label != rstruct.label:
-                    raise CompositionError(
-                        "leftmost open site is %s, cannot substitute %s"
-                        % (child.label, rstruct.label))
-                children[i] = rstruct
-                return Tree(node.label, children), True
-            if isinstance(child, Tree):
-                new_child, done = substitute(child)
-                if done:
-                    children[i] = new_child
-                    return Tree(node.label, children), True
-        return node, False
-
-    result, done = substitute(lstruct)
-    if not done:
+    # walk preorder to the leftmost site, keeping the (node, child index)
+    # pairs that lead to it: only the nodes on that path are rebuilt
+    path = []
+    node, i = lstruct, 0
+    while i < len(node.children) or path:
+        if i == len(node.children):
+            node, i = path.pop()
+            i += 1
+        elif isinstance(node.children[i], Site):
+            break
+        elif isinstance(node.children[i], Tree):
+            path.append((node, i))
+            node, i = node.children[i], 0
+        else:
+            i += 1
+    else:
         raise CompositionError("no open substitution site on the left operand")
+    site = node.children[i]
+    if site.label != rstruct.label:
+        raise CompositionError("leftmost open site is %s, cannot substitute %s"
+                               % (site.label, rstruct.label))
+    result = rstruct
+    path.append((node, i))
+    for node, i in reversed(path):
+        children = list(node.children)
+        children[i] = result
+        result = Tree(node.label, children)
     fragment = Fragment(write_tree(result))
     if any(isinstance(item, Site) for item in fragment.frontier):
         return fragment
@@ -98,39 +103,40 @@ def enumerate_derivations(model: FragmentModel, sentence,
 
     derivations = []
     steps = 0
-
-    def expand(seq, pos, chosen, probability):
-        nonlocal steps
+    # Depth first: each state is (open frontier, words matched, fragments
+    # chosen, probability), the fragments a linked list of (last, rest)
+    # pairs. Successors are pushed in reverse, so they pop in model order.
+    stack = [((Site(label),), 0, None, Fraction(1))
+             for label in sorted(model.start_labels, reverse=True)]
+    while stack:
+        seq, pos, chosen, probability = stack.pop()
         steps += 1
         if steps > cap or len(derivations) > cap:
             raise OracleOverflowError(
                 "more than %d enumeration steps; instance too large" % cap)
-        while seq and isinstance(seq[0], str):
-            if pos >= len(sentence) or sentence[pos] != seq[0]:
-                return
+        while (seq and isinstance(seq[0], str) and pos < len(sentence)
+               and sentence[pos] == seq[0]):
             seq = seq[1:]
             pos += 1
         if not seq:
             if pos == len(sentence):
-                derivations.append((tuple(chosen), probability))
-            return
-        # every open site must still yield at least one word
-        sites = sum(1 for item in seq if isinstance(item, Site))
-        if pos + sites + (len(seq) - sites) > len(sentence):
-            return
-        root = seq[0].label
-        for fragment, p in by_root.get(root, ()):
-            chosen.append(fragment)
-            expand(fragment.frontier + seq[1:], pos, chosen, probability * p)
-            chosen.pop()
-
-    for label in sorted(model.start_labels):
-        expand((Site(label),), 0, [], Fraction(1))
+                derivations.append((chosen, probability))
+        # a word left in front did not match; else every item of the
+        # frontier must still yield at least one word
+        elif isinstance(seq[0], Site) and pos + len(seq) <= len(sentence):
+            for fragment, p in reversed(by_root.get(seq[0].label, ())):
+                stack.append((fragment.frontier + seq[1:], pos,
+                              (fragment, chosen), probability * p))
 
     tree_sums = {}
     trees = {}
     realized = []
-    for fragments, probability in derivations:
+    for chosen, probability in derivations:
+        fragments = []
+        while chosen is not None:
+            fragment, chosen = chosen
+            fragments.append(fragment)
+        fragments = tuple(reversed(fragments))
         tree = fragments[0]
         for fragment in fragments[1:]:
             tree = compose(tree, fragment)

@@ -271,15 +271,6 @@ def _heights(nodes):
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _tokenize(text):
-    """Yield (token, line, col) with 1-based positions; '#' comment lines skipped."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.lstrip().startswith("#"):
-            continue
-        for match in _TOKEN.finditer(line):
-            yield match.group(), lineno, match.start() + 1
-
-
 def _read_error(message, text, line, index):
     """The TreeReadError for the `index`-th token of a line, its column
     found only now, when the error is raised."""

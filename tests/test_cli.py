@@ -273,36 +273,6 @@ def test_parse_workers(toy_paths, tmp_path):
     assert lines[1] == "(S (NP peter) (VP (V hates) (NP susan)))"
 
 
-def test_parse_freezes_model_only_while_parsing(toy_paths, tmp_path,
-                                                monkeypatch):
-    _, model_path = toy_paths
-    sents = tmp_path / "sents.txt"
-    sents.write_text("john likes mary\npeter hates susan\n")
-    out = tmp_path / "out.txt"
-    frozen = []
-    parse = dop.parser.SentenceParser.parse
-
-    def recording_parse(self, words):
-        frozen.append(gc.get_freeze_count())
-        return parse(self, words)
-
-    monkeypatch.setattr(dop.parser.SentenceParser, "parse", recording_parse)
-    assert gc.get_freeze_count() == 0
-    assert main(["parse", "--model", str(model_path), "--input", str(sents),
-                 "--output", str(out)]) == 0
-    assert len(frozen) == 2 and all(count > 0 for count in frozen)
-    assert gc.get_freeze_count() == 0
-
-    def failing_parse(self, words):
-        raise AssertionError("derivation probability drift")
-
-    monkeypatch.setattr(dop.parser.SentenceParser, "parse", failing_parse)
-    with pytest.raises(AssertionError, match="drift"):
-        main(["parse", "--model", str(model_path), "--input", str(sents),
-              "--output", str(out)])
-    assert gc.get_freeze_count() == 0
-
-
 def test_serial_parse_releases_model(toy_paths, monkeypatch):
     # the parser holds no reference to its model, and a serial parse holds
     # none to the parser once it returns or fails
@@ -429,6 +399,21 @@ def test_oracle_command(toy_paths, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "(S (NP john) (VP (V hates) (NP susan)))\t1/20\t13" in out
+
+
+def test_oracle_deep_unary_chain(tmp_path, capsys):
+    # deeper than the recursion limit: expansion and composition walk the
+    # 1500 levels without recursing
+    key, _ = unary_chain_model(1500)
+    train = tmp_path / "chain.mrg"
+    train.write_text(key + "\n")
+    model = tmp_path / "chain.dopmodel"
+    assert main(["train", "--train", str(train), "--model", str(model),
+                 "--max-depth", "1"]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--model", str(model), "--sentence", "w"]) == 0
+    assert capsys.readouterr().out == (
+        "# sentence 0: w (1 derivations)\n%s\t1\t1\n" % key)
 
 
 def test_experiment_command(tmp_path, capsys):
@@ -660,122 +645,6 @@ def test_malformed_treebank_exit_code(tmp_path, capsys):
     assert "never closed" in capsys.readouterr().err
 
 
-def test_collector_paused_only_while_model_and_parser_build(
-        toy_paths, tmp_path, monkeypatch):
-    import dop.modelio
-    _, model_path = toy_paths
-    sents = tmp_path / "sents.txt"
-    sents.write_text("john likes mary\n")
-    out = tmp_path / "out.txt"
-    enabled = []
-    read = dop.modelio.model_from_text
-    build = dop.parser.SentenceParser.__init__
-
-    def recording_read(text):
-        enabled.append(("read", gc.isenabled()))
-        return read(text)
-
-    def recording_build(self, *args, **kwargs):
-        enabled.append(("build", gc.isenabled()))
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(dop.modelio, "model_from_text", recording_read)
-    monkeypatch.setattr(dop.parser.SentenceParser, "__init__", recording_build)
-    assert gc.isenabled()
-    assert main(["parse", "--model", str(model_path), "--input", str(sents),
-                 "--output", str(out)]) == 0
-    assert enabled == [("read", False), ("build", False)]
-    assert gc.isenabled()
-
-    gc.disable()
-    try:
-        load_model(model_path)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-    def failing_read(text):
-        raise ValueError("bad model")
-
-    monkeypatch.setattr(dop.modelio, "model_from_text", failing_read)
-    with pytest.raises(ValueError, match="bad model"):
-        load_model(model_path)
-    assert gc.isenabled()
-
-    def failing_build(self, *args, **kwargs):
-        raise ValueError("bad grammar")
-
-    monkeypatch.setattr(dop.parser.SentenceParser, "__init__", failing_build)
-    assert main(["parse", "--model", str(model_path), "--input", str(sents),
-                 "--output", str(out)]) == 2
-    assert gc.isenabled()
-    assert gc.get_freeze_count() == 0
-
-
-def test_train_and_parse_run_with_collector_paused(toy_paths, tmp_path,
-                                                  monkeypatch):
-    import dop.cli
-    train, model_path = toy_paths
-    enabled = []
-
-    def recording(name, function):
-        def record(*args, **kwargs):
-            enabled.append((name, gc.isenabled()))
-            return function(*args, **kwargs)
-        monkeypatch.setattr(dop.cli, name, record)
-
-    for name in ("read_treebank", "collect_fragments", "build_model",
-                 "write_model"):
-        recording(name, getattr(dop.cli, name))
-    assert gc.isenabled()
-    assert main(["train", "--train", str(train), "--model",
-                 str(tmp_path / "m"), "--max-depth", "2",
-                 "--sample-per-depth", "20"]) == 0
-    assert enabled == [("read_treebank", False), ("collect_fragments", False),
-                       ("build_model", False), ("write_model", False)]
-    assert gc.isenabled()
-
-    enabled.clear()
-    parse = dop.parser.SentenceParser.parse
-
-    def recording_parse(self, words):
-        enabled.append(("parse", gc.isenabled()))
-        return parse(self, words)
-
-    monkeypatch.setattr(dop.parser.SentenceParser, "parse", recording_parse)
-    sents = tmp_path / "sents.txt"
-    sents.write_text("john likes mary\npeter hates susan\n")
-    assert main(["parse", "--model", str(model_path), "--input", str(sents),
-                 "--output", str(tmp_path / "out.txt")]) == 0
-    assert enabled == [("parse", False)] * 2
-    assert gc.isenabled()
-
-
-def test_experiment_reads_treebanks_with_collector_paused(tmp_path, capsys,
-                                                         monkeypatch):
-    import dop.cli
-    train = tmp_path / "train.mrg"
-    test = tmp_path / "test.mrg"
-    train.write_text(write_treebank(synthetic_treebank(20, seed=11)))
-    test.write_text(write_treebank(synthetic_treebank(3, seed=99)))
-    enabled = []
-
-    def recording(name, function):
-        def record(*args, **kwargs):
-            enabled.append((name, gc.isenabled()))
-            return function(*args, **kwargs)
-        monkeypatch.setattr(dop.cli, name, record)
-
-    for name in ("read_treebank", "normalize_treebank"):
-        recording(name, getattr(dop.cli, name))
-    assert gc.isenabled()
-    assert main(["experiment", "--train", str(train), "--test", str(test),
-                 "--sweep", "depth", "--values", "1", "--sample-per-depth",
-                 "20", "--out", str(tmp_path / "exp")]) == 0
-    assert enabled == [("read_treebank", False), ("normalize_treebank", False)] * 2
-    assert gc.isenabled()
-
-
 def test_train_model_leaves_no_reference_cycles():
     # the premise of training with the collector paused: reference
     # counting alone frees what training drops
@@ -795,7 +664,103 @@ def test_train_model_leaves_no_reference_cycles():
     assert model.unknown_words is not None
 
 
-def test_no_collection_between_model_load_and_freeze(tmp_path, monkeypatch):
+def _command_argv(command, tmp_path, train, model):
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates susan\n")
+    gold = tmp_path / "gold.mrg"
+    gold.write_text("(S (NP john) (VP (V likes) (NP mary)))\n"
+                    "(S (NP peter) (VP (V hates) (NP susan)))\n")
+    return [str(arg) for arg in {
+        "train": ["train", "--train", train, "--model", tmp_path / "m",
+                  "--max-depth", "2", "--sample-per-depth", "20"],
+        "parse": ["parse", "--model", model, "--input", sents,
+                  "--output", tmp_path / "out.txt"],
+        "experiment": ["experiment", "--train", train, "--test", gold,
+                       "--sweep", "depth", "--values", "1",
+                       "--sample-per-depth", "20", "--out", tmp_path / "exp"],
+        "score": ["score", "--proposed", gold, "--gold", gold],
+        "oracle": ["oracle", "--model", model, "--sentence",
+                   "john likes mary"],
+    }[command]]
+
+
+@pytest.mark.parametrize("command",
+                         ["train", "parse", "experiment", "score", "oracle"])
+def test_command_runs_with_collector_off(command, toy_paths, tmp_path,
+                                         monkeypatch, capsys):
+    # main turns the collector off around the command, and gives it back
+    # as the caller had it however the command ends
+    import dop.cli
+    argv = _command_argv(command, tmp_path, *toy_paths)
+    run = dop.cli._COMMANDS[command]
+    enabled = []
+
+    def recording(args):
+        enabled.append(gc.isenabled())
+        return run(args)
+
+    def failing(args):
+        enabled.append(gc.isenabled())
+        raise GrammarError("bad data")
+
+    def crashing(args):
+        enabled.append(gc.isenabled())
+        raise AssertionError("derivation probability drift")
+
+    try:
+        for caller_had_it in (True, False):
+            (gc.enable if caller_had_it else gc.disable)()
+            monkeypatch.setitem(dop.cli._COMMANDS, command, recording)
+            assert main(argv) == 0
+            assert gc.isenabled() is caller_had_it
+            monkeypatch.setitem(dop.cli._COMMANDS, command, failing)
+            assert main(argv) == 2
+            assert gc.isenabled() is caller_had_it
+            monkeypatch.setitem(dop.cli._COMMANDS, command, crashing)
+            with pytest.raises(AssertionError, match="drift"):
+                main(argv)
+            assert gc.isenabled() is caller_had_it
+    finally:
+        gc.enable()
+    assert enabled == [False] * 6
+    assert "bad data" in capsys.readouterr().err
+
+
+def test_load_model_pauses_collector(toy_paths, monkeypatch):
+    # load_model is the library's entry point: it pauses the collector
+    # itself, and gives it back as the caller had it
+    import dop.modelio
+    _, model_path = toy_paths
+    enabled = []
+    read = dop.modelio.model_from_text
+
+    def recording_read(text):
+        enabled.append(gc.isenabled())
+        return read(text)
+
+    monkeypatch.setattr(dop.modelio, "model_from_text", recording_read)
+    assert gc.isenabled()
+    load_model(model_path)
+    assert enabled == [False]
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        load_model(model_path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def failing_read(text):
+        raise ValueError("bad model")
+
+    monkeypatch.setattr(dop.modelio, "model_from_text", failing_read)
+    with pytest.raises(ValueError, match="bad model"):
+        load_model(model_path)
+    assert gc.isenabled()
+
+
+def test_no_collection_during_parse(tmp_path, monkeypatch):
     import dop.cli
     train = tmp_path / "train.mrg"
     train.write_text(write_treebank(synthetic_treebank(40, seed=5)))
@@ -807,32 +772,60 @@ def test_no_collection_between_model_load_and_freeze(tmp_path, monkeypatch):
     sents.write_text("".join(" ".join(tree.leaves()) + "\n" for tree in
                              synthetic_treebank(3, seed=6).trees))
     events = []
-    load, freeze = dop.cli.load_model, gc.freeze
+    parse = dop.cli._COMMANDS["parse"]
 
-    def recording_load(path):
-        model = load(path)
-        events.append("loaded")
-        return model
-
-    def recording_freeze():
-        events.append("frozen")
-        freeze()
+    def recording_parse(args):
+        events.append("command")
+        code = parse(args)
+        events.append("returned")
+        return code
 
     def on_collection(phase, info):
         if phase == "start":
             events.append("collection")
 
-    monkeypatch.setattr(dop.cli, "load_model", recording_load)
-    monkeypatch.setattr(gc, "freeze", recording_freeze)
+    monkeypatch.setitem(dop.cli._COMMANDS, "parse", recording_parse)
     gc.callbacks.append(on_collection)
     try:
         assert main(["parse", "--model", str(model_path), "--input",
                      str(sents), "--output", str(tmp_path / "out.txt")]) == 0
     finally:
         gc.callbacks.remove(on_collection)
-    # the model is big enough that a collection after the load would scan
-    # it; none may start before it is frozen
-    assert len(load(model_path).entries) > 100
-    loaded = events.index("loaded")
-    assert events[loaded + 1] == "frozen"
-    assert gc.get_freeze_count() == 0
+    # the model is big enough that a collection would scan it at length;
+    # one may start once main gives the collector back, after the command
+    assert len(load_model(model_path).entries) > 100
+    start = events.index("command")
+    assert events[start:start + 2] == ["command", "returned"]
+
+
+def test_spawned_worker_runs_with_collector_off(toy_paths):
+    # a spawned worker starts with the collector on, whatever the parent
+    # set: _worker_init turns it off
+    import multiprocessing
+    from dop.cli import _worker_init, _worker_parse
+    parser = SentenceParser(load_model(toy_paths[1]))
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(1, initializer=_worker_init,
+                      initargs=(parser,)) as pool:
+        assert pool.apply_async(gc.isenabled).get(timeout=60) is False
+        row = pool.apply_async(_worker_parse,
+                               (["john", "likes", "mary"],)).get(timeout=60)
+    assert row[0] == "(S (NP john) (VP (V likes) (NP mary)))"
+
+
+@pytest.mark.parametrize("command", ["score", "oracle"])
+def test_command_leaves_no_reference_cycles(command, toy_paths, tmp_path,
+                                            capsys):
+    # the premise of running every command with the collector off:
+    # reference counting alone frees what the command drops
+    import dop.cli
+    import dop.oracle  # noqa: F401  (its import makes garbage of its own)
+    args = dop.cli.build_parser().parse_args(
+        _command_argv(command, tmp_path, *toy_paths))
+    gc.collect()
+    gc.disable()
+    try:
+        assert dop.cli._COMMANDS[command](args) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

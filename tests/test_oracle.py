@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from dop import (Fragment, OracleOverflowError, RestrictionSet, build_model,
-                 enumerate_derivations, exact_mpp, extract_treebank,
-                 read_treebank, write_tree)
+from dop import (Fragment, OracleOverflowError, RestrictionSet, Site, Tree,
+                 build_model, enumerate_derivations, exact_mpp,
+                 extract_treebank, read_treebank, write_tree)
 from dop.oracle import report_lines
-from conftest import TOY_HEAD_RULES
+from dop.tree import Treebank
+from conftest import TOY_HEAD_RULES, random_tree
 
 
 def frag(text):
@@ -116,3 +117,88 @@ def test_report_lines_format(toy_model):
     report = enumerate_derivations(toy_model, "john hates susan".split())
     lines = report_lines(report)
     assert lines == ["(S (NP john) (VP (V hates) (NP susan)))\t1/20\t13"]
+
+
+def _recursive_derivations(model, sentence, cap):
+    """[(fragments, probability, bracketed tree)] by recursive expansion
+    and composition, as a reference for the iterative enumeration."""
+    by_root = {}
+    for key in sorted(model.entries):
+        entry = model.entries[key]
+        by_root.setdefault(entry.fragment.root, []).append(
+            (entry.fragment, entry.probability))
+    found = []
+    steps = 0
+
+    def expand(seq, pos, chosen, probability):
+        nonlocal steps
+        steps += 1
+        if steps > cap or len(found) > cap:
+            raise OracleOverflowError("cap")
+        while seq and isinstance(seq[0], str):
+            if pos >= len(sentence) or sentence[pos] != seq[0]:
+                return
+            seq = seq[1:]
+            pos += 1
+        if not seq:
+            if pos == len(sentence):
+                found.append((tuple(chosen), probability))
+            return
+        if pos + len(seq) > len(sentence):
+            return
+        for fragment, p in by_root.get(seq[0].label, ()):
+            chosen.append(fragment)
+            expand(fragment.frontier + seq[1:], pos, chosen, probability * p)
+            chosen.pop()
+
+    def substitute(node, right):
+        children = list(node.children)
+        for i, child in enumerate(children):
+            if isinstance(child, Site):
+                assert child.label == right.label
+                children[i] = right
+                return Tree(node.label, children), True
+            if isinstance(child, Tree):
+                new_child, done = substitute(child, right)
+                if done:
+                    children[i] = new_child
+                    return Tree(node.label, children), True
+        return node, False
+
+    for label in sorted(model.start_labels):
+        expand((Site(label),), 0, [], Fraction(1))
+    derivations = []
+    for fragments, probability in found:
+        tree = fragments[0].structure
+        for fragment in fragments[1:]:
+            tree, done = substitute(tree, fragment.structure)
+            assert done
+        derivations.append((fragments, probability, write_tree(tree)))
+    return derivations
+
+
+def test_enumeration_matches_recursive_reference_on_random_banks():
+    rng = random.Random(4242)
+    compared = overflowed = 0
+    for _ in range(40):
+        bank = Treebank(tuple(random_tree(rng, max_internal=7, max_depth=3)
+                              for _ in range(rng.randint(1, 3))))
+        model = build_model(extract_treebank(bank), RestrictionSet(),
+                            TOY_HEAD_RULES,
+                            start_labels={t.label for t in bank.trees})
+        for tree in bank.trees:
+            words = tree.leaves()
+            for sentence in (words, rng.sample(words, len(words))):
+                # a unary fragment cycle, or a large set, overflows both
+                try:
+                    expected = _recursive_derivations(model, sentence, 500)
+                except OracleOverflowError:
+                    with pytest.raises(OracleOverflowError):
+                        enumerate_derivations(model, sentence, cap=500)
+                    overflowed += 1
+                    continue
+                report = enumerate_derivations(model, sentence, cap=500)
+                assert [(d.fragments, d.probability, write_tree(d.tree))
+                        for d in report.derivations] == expected
+                compared += len(expected)
+    assert compared > 500 and overflowed > 0
