@@ -20,7 +20,7 @@ from .model import (FragmentModel, GrammarError, UnknownWordModel,
 from .modelio import load_model, model_from_text, model_to_text, write_model
 from .parser import (ChartParser, CyclicGrammarError, Derivation,
                      IndexedRule, ParseResult, SentenceParser,
-                     most_probable_parse, nbest_derivations, to_rules)
+                     most_probable_parse, nbest_derivations)
 from .parseval import ScoreReport, YieldMismatchError, score_corpus, score_pair
 
 __version__ = "0.1.0"

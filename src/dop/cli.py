@@ -2,7 +2,9 @@
 
 Commands: train, parse, experiment, score, oracle. Exit codes: 0 success,
 1 usage error, 2 data error. All options can also come from a --config
-file of key=value lines; explicit command-line values win.
+file of key=value lines; explicit command-line values win. `dop parse` and
+`dop experiment` build their parsers from a model file's rows (see
+`parser.SentenceParser`): neither holds a model while parsing.
 
 Every command runs with Python's cycle collector off, set once in `main`
 and back as the caller had it when `main` returns. Trees, fragments,
@@ -338,10 +340,9 @@ def cmd_parse(args) -> int:
     options = _Options(args)
     n_best = options.integer("n_best")
     prune_ratio = options.floating("prune_ratio")
-    # the model is dropped once its parser is built: sentences are parsed
-    # from the rules alone
-    parser = SentenceParser(load_model(args.model), n_best=n_best,
-                            prune_ratio=prune_ratio)
+    with open(args.model, encoding="utf8") as handle:
+        parser = SentenceParser(handle, n_best=n_best,
+                                prune_ratio=prune_ratio)
     sentences = _read_sentences(args.input)
     rows = _parse_corpus(parser, sentences, options.integer("workers"))
     out = _open_out(args.output)
@@ -393,12 +394,12 @@ def cmd_experiment(args) -> int:
                                     cache=cache)
             print("grid %s: %d fragment types kept" % (bound, len(model.entries)),
                   file=sys.stderr)
-            write_model(model, os.path.join(args.out,
-                                            "model_%s.dopmodel" % bound))
-            # the model goes before the sentences are parsed (see cmd_parse)
-            parser = SentenceParser(model, n_best=n_best,
-                                    prune_ratio=prune_ratio)
-            del model
+            path = os.path.join(args.out, "model_%s.dopmodel" % bound)
+            write_model(model, path)
+            del model              # parsed from the file, as `dop parse` does
+            with open(path, encoding="utf8") as handle:
+                parser = SentenceParser(handle, n_best=n_best,
+                                        prune_ratio=prune_ratio)
             rows = _parse_corpus(parser, sentences, workers)
             del parser
             parse_path = os.path.join(args.out, "parse_%s.txt" % bound)

@@ -21,9 +21,12 @@ Keys are read back in canonical form: a key written with other spacing
 (``(S  (NP john)\t(VP))``) loads as the fragment whose key is
 ``(S (NP john) (VP))``. A malformed row of any kind (a bad key, a field
 missing, a number that does not parse, a zero denominator, a probability
-outside (0, 1]) is reported with its line number. Head rules are not stored:
-they decide which fragments pass the restriction at training time, and a
-loaded model has no use for them.
+outside (0, 1], an entry not strictly after the one before it in (root,
+canonical key) order, such as a repeated one) is reported with its line
+number. Head rules are not stored: they decide which fragments pass the
+restriction at training time, and a loaded model has no use for them.
+`read_model` is the file's one reader: `model_from_text` makes a
+`ModelEntry` of each entry row, and `parser.SentenceParser` a rule.
 """
 
 import gc
@@ -115,9 +118,15 @@ _RECORD_FIELDS = {"smoothing": 2, "prior": 3, "root": 5, "unk": 2,
                   "unkstat": 7}
 
 
-def model_from_text(text) -> FragmentModel:
-    """Read a model from its text, or from its lines as an open file yields
-    them, one at a time."""
+def read_model(text, probability=_probability):
+    """(header, rows) of a model's text, or of its lines as an open file
+    yields them, one at a time.
+
+    header is the model without entries. rows yields (fragment, count,
+    probability(text)) per entry row, in file order, as it reads them; each
+    distinct count and probability text is read once, and the per-root
+    count sums are checked once rows is used up.
+    """
     lines = enumerate(text.splitlines() if isinstance(text, str) else text,
                       start=1)
     if not next(lines, (1, ""))[1].startswith("dopmodel\t"):
@@ -172,66 +181,65 @@ def model_from_text(text) -> FragmentModel:
                 raise ValueError("unknown record %r" % tag)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
+    unknown = None
+    if unk_threshold is not None:
+        unknown = UnknownWordModel(threshold=unk_threshold,
+                                   full_stats=dict(unk_stats))
+    header = FragmentModel(
+        entries={}, root_totals=root_totals, restriction=restriction,
+        start_labels=frozenset(start), priors=priors, smoothed=smoothed,
+        reserved_mass={k: v for k, v in reserved.items() if v},
+        unknown_words=unknown)
+    return header, _entry_rows(lines, root_totals, probability)
+
+
+def _entry_rows(lines, root_totals, probability):
     # A model has few distinct counts and probabilities (745 probabilities
-    # among 473989 entries), so each distinct text is read once and its
-    # entries share the number. The entries are made after every row is
-    # read, so they fill memory of their own, not gaps between the
-    # fragments: a parser that keeps the fragments and drops the model
-    # frees whole blocks, not holes that would scatter each sentence's
-    # chart over the fragments' memory and slow it down.
+    # among 473989 entries), so each distinct text is read once.
     pieces = KeyPieces()       # the key pieces read so far
     read_counts = {}           # count text -> int or Fraction
-    read_probabilities = {}    # probability text -> Fraction
-    fragments = []
-    counts = []
-    probabilities = []
+    read_probabilities = {}    # probability text -> probability(text)
+    sums = defaultdict(int)    # root -> its count sum, exact for Fractions
+    root = key = ""            # the previous row's; below any real one
     for lineno, line in lines:
         row = line.rstrip("\n")
         if not row:
             continue
         try:
-            count, probability, key = row.split("\t", 2)
+            count, share, text = row.split("\t", 2)
         except ValueError:
             raise ModelFormatError("line %d: bad entry row" % lineno) from None
         try:
-            fragments.append(Fragment.from_string(key, pieces))
+            fragment = Fragment.from_string(text, pieces)
             number = read_counts.get(count)
             if number is None:
                 number = read_counts[count] = _parse_num(count)
-            counts.append(number)
-            share = read_probabilities.get(probability)
-            if share is None:
-                share = read_probabilities[probability] = \
-                    _probability(probability)
-            probabilities.append(share)
+            value = read_probabilities.get(share)
+            if value is None:
+                value = read_probabilities[share] = probability(share)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
-    entries = {}
-    for fragment, count, probability in zip(fragments, counts,
-                                            probabilities):
-        entries[fragment.key] = ModelEntry(fragment, count, probability)
-    unknown = None
-    if unk_threshold is not None:
-        unknown = UnknownWordModel(threshold=unk_threshold,
-                                   full_stats=dict(unk_stats))
-    model = FragmentModel(
-        entries=entries, root_totals=root_totals, restriction=restriction,
-        start_labels=frozenset(start), priors=priors, smoothed=smoothed,
-        reserved_mass={k: v for k, v in reserved.items() if v},
-        unknown_words=unknown)
-    _check_totals(model)
-    return model
-
-
-def _check_totals(model):
-    sums = defaultdict(int)      # ints and Fractions add and compare exactly
-    for entry in model.entries.values():
-        sums[entry.fragment.root] += entry.count
+        label = fragment.root
+        if label < root or label == root and fragment.key <= key:
+            raise ModelFormatError(
+                "line %d: entry %s does not come after %s in (root, key) "
+                "order" % (lineno, fragment.key, key))
+        root, key = label, fragment.key
+        sums[root] += number
+        yield fragment, number, value
     for root, total in sums.items():
-        if model.root_totals.get(root, 0) != total:
+        if root_totals.get(root, 0) != total:
             raise ModelFormatError(
                 "root %s: entry counts sum to %s, header says %s"
-                % (root, total, model.root_totals.get(root)))
+                % (root, total, root_totals.get(root)))
+
+
+def model_from_text(text) -> FragmentModel:
+    """A model read from its text or lines (see read_model)."""
+    model, rows = read_model(text)
+    model.entries = {fragment.key: ModelEntry(fragment, count, probability)
+                     for fragment, count, probability in rows}
+    return model
 
 
 def write_model(model: FragmentModel, path):

@@ -1,20 +1,21 @@
 """Chart parsing with fragment-indexed rules.
 
-Each model fragment becomes a rule: lhs = the fragment's root, rhs = its
-frontier (words and substitution sites) left to right. Rule right-hand
-sides are matched through a shared prefix trie, which left-factors long
-rules into binary steps; the dotted prefix items this creates are internal
-to the parser. The trie's nodes are numbered in the order they are made,
-and a list indexed by node holds the rules that end at each. A parser
-keeps the rules, not the model they came from. The inside pass is a
-bottom-up CKY with per-span pruning on prior-weighted scores; derivations
-come out of the pruned forest through lazy n-best extraction as bracketed
-strings, and the most probable parse sums derivation probabilities per
-string. A parse is that string; a Tree is read from it only when asked
-for.
+Each entry row of a model file becomes a rule: lhs = the fragment's root,
+rhs = its frontier (words and substitution sites) left to right, index =
+the row's position. A parser is built from the rows alone, and keeps no
+model. Rule right-hand sides are matched through a shared prefix trie,
+which left-factors long rules into binary steps; the dotted prefix items
+this creates are internal to the parser. The trie's nodes are numbered in
+the order they are made, and a list indexed by node holds the rules that
+end at each. The inside pass is a bottom-up CKY with per-span pruning on
+prior-weighted scores; derivations come out of the pruned forest through
+lazy n-best extraction as bracketed strings, and the most probable parse
+sums derivation probabilities per string. A parse is that string; a Tree
+is read from it only when asked for.
 """
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from itertools import chain
 
 from .fragments import _SITE, Fragment
 from .model import FragmentModel
+from .modelio import _model_lines, _probability, read_model
 from .tree import Site, Tree, read_trees
 
 
@@ -97,30 +99,10 @@ def _log(probability: Fraction) -> float:
     return math.log(probability.numerator) - math.log(probability.denominator)
 
 
-def _rule(fragment, probability, index) -> IndexedRule:
-    return IndexedRule(fragment.root, fragment.frontier, fragment,
-                       _log(probability), index)
-
-
-def to_rules(model: FragmentModel) -> list:
-    """One rule per model entry, in deterministic (root, key) order.
-
-    The rules of one root share one lhs string.
-    """
-    entries = model.entries
-    labels = {}
-    keyed = []
-    for key, entry in entries.items():
-        root = entry.fragment.root
-        keyed.append((labels.setdefault(root, root), key))
-    keyed.sort()
-    rules = []
-    for index, (root, key) in enumerate(keyed):
-        entry = entries[key]
-        fragment = entry.fragment
-        rules.append(IndexedRule(root, fragment.frontier, fragment,
-                                 _log(entry.probability), index))
-    return rules
+def _rule(fragment, logprob, index) -> IndexedRule:
+    # the rules of one root share one lhs string
+    return IndexedRule(sys.intern(fragment.root), fragment.frontier, fragment,
+                       logprob, index)
 
 
 def _find_cycle(edges):
@@ -215,6 +197,7 @@ class ChartParser:
     later, and completions[node] is the tuple of rules that end at node,
     in rule order; unary_cycle is a label on a cycle of unary rules, or
     None.
+    rules may be an iterator: it is listed only once the settings pass.
     A cell is filled in three phases: binary steps make its prefix items,
     one completion queue makes its complete items, and pruning drops the
     weak ones. Every edge is appended once, so none is deduplicated.
@@ -679,23 +662,28 @@ class SentenceParser(ChartParser):
     """A ChartParser over a model's rules and priors, with rules for its
     out-of-vocabulary words and most-probable-parse selection.
 
-    Of the model it keeps its rules and what oov_rules reads (the
-    unknown-word model, root totals, reserved mass and whether it is
-    smoothed), not the model: once the caller drops the model, its entries
-    and their exact counts and probabilities are freed.
+    model is the lines of a model file, such as the open file, or a
+    FragmentModel, read through the lines it writes. Rule i is entry row i.
+    Besides the rules the parser keeps what oov_rules reads (the unknown-word
+    model, root totals, reserved mass and whether it is smoothed).
     """
 
-    def __init__(self, model: FragmentModel, n_best: int = 1000,
-                 prune_ratio: float = 1e-5):
+    def __init__(self, model, n_best: int = 1000, prune_ratio: float = 1e-5):
         if n_best < 1:
             raise ValueError("n_best must be >= 1")
-        super().__init__(to_rules(model), model.start_labels,
-                         priors=model.priors, prune_ratio=prune_ratio)
+        if isinstance(model, FragmentModel):
+            model = _model_lines(model)
+        header, rows = read_model(model, lambda p: _log(_probability(p)))
+        # the entry rows are read once ChartParser has checked prune_ratio
+        rules = (_rule(fragment, logprob, index)
+                 for index, (fragment, _, logprob) in enumerate(rows))
+        super().__init__(rules, header.start_labels, priors=header.priors,
+                         prune_ratio=prune_ratio)
         self.n_best = n_best
-        self.unknown_words = model.unknown_words
-        self.root_totals = model.root_totals
-        self.reserved_mass = model.reserved_mass
-        self.smoothed = model.smoothed
+        self.unknown_words = header.unknown_words
+        self.root_totals = header.root_totals
+        self.reserved_mass = header.reserved_mass
+        self.smoothed = header.smoothed
         # the model's words: each one is a word symbol of the trie
         self.vocabulary = {sym[1] for sym in chain(self.first_step,
                                                    self.steps_on)
@@ -723,7 +711,8 @@ class SentenceParser(ChartParser):
                 if probability <= 0:
                     continue
                 rules.append(_rule(Fragment("(%s %s)" % (tag, word)),
-                                   probability, len(self.rules) + len(rules)))
+                                   _log(probability),
+                                   len(self.rules) + len(rules)))
         return rules
 
     def derivations(self, words) -> list:

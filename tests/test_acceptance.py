@@ -19,7 +19,7 @@ from dop import (ChartParser, Fragment, RestrictionSet, SentenceParser, Site,
                  Tree, build_model, enumerate_derivations, exact_mpp,
                  extract_all, extract_treebank, good_turing_adjust,
                  most_probable_parse, nbest_derivations, read_treebank,
-                 sample_fragments, score_corpus, score_pair, to_rules,
+                 sample_fragments, score_corpus, score_pair,
                  train_unknown_model, write_tree)
 from dop.fragments import count_fragments, passes
 from dop.tree import write_treebank
@@ -78,7 +78,7 @@ def test_criterion_1_oracle_equivalence():
     compared = 0
     for corpus, sentences in TOY_BANKS:
         model = build_from(corpus)
-        rules = to_rules(model)
+        rules = SentenceParser(model).rules
         for sentence in sentences:
             words = sentence.split()
             report = enumerate_derivations(model, words)
@@ -165,7 +165,7 @@ def test_criterion_4_depth1_equivalence():
         key = (fragment.root, rhs, fragment.frontier_word_count > 0)
         assert entry.probability == frequencies[key]
     # every parse tree has exactly one derivation
-    rules = to_rules(model)
+    rules = SentenceParser(model).rules
     checked = 0
     for tree in bank.trees[:8]:
         words = tree.leaves()

@@ -303,20 +303,36 @@ def test_serial_parse_releases_model(toy_paths, monkeypatch):
 
 def test_parse_and_experiment_drop_the_model_before_parsing(
         toy_paths, tmp_path, monkeypatch):
-    # sentences are parsed from the rules alone: no model is alive then
+    # sentences are parsed from the rules alone: `dop parse` builds no
+    # model, and `dop experiment` drops each grid point's model first
     import dop.cli
+    import dop.modelio
     train, model_path = toy_paths
+    entries = []
+    entry = dop.modelio.ModelEntry
+
+    def counted(*args):
+        entries.append(args)
+        return entry(*args)
+
+    monkeypatch.setattr(dop.modelio, "ModelEntry", counted)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates susan\n")
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(tmp_path / "out.txt")]) == 0
+    assert entries == []
+    # the count does see a model load
+    assert main(["oracle", "--model", str(model_path),
+                 "--sentence", "john likes mary"]) == 0
+    assert len(entries) == 31
+
     models = []
+    train_model = dop.cli._train_model
 
-    def recording(name):
-        function = getattr(dop.cli, name)
-
-        def record(*args, **kwargs):
-            result = function(*args, **kwargs)
-            model = result[0] if isinstance(result, tuple) else result
-            models.append(weakref.ref(model))
-            return result
-        monkeypatch.setattr(dop.cli, name, record)
+    def recording(*args, **kwargs):
+        result = train_model(*args, **kwargs)
+        models.append(weakref.ref(result[0]))
+        return result
 
     alive = []
     parse = dop.parser.SentenceParser.parse
@@ -325,21 +341,15 @@ def test_parse_and_experiment_drop_the_model_before_parsing(
         alive.append(any(model() is not None for model in models))
         return parse(self, words)
 
-    recording("load_model")
-    recording("_train_model")
+    monkeypatch.setattr(dop.cli, "_train_model", recording)
     monkeypatch.setattr(dop.parser.SentenceParser, "parse", recording_parse)
-    sents = tmp_path / "sents.txt"
-    sents.write_text("john likes mary\npeter hates susan\n")
-    assert main(["parse", "--model", str(model_path), "--input", str(sents),
-                 "--output", str(tmp_path / "out.txt")]) == 0
-    assert len(models) == 1 and alive == [False, False]
     gold = tmp_path / "gold.mrg"
     gold.write_text(TOY_CORPUS)
     assert main(["experiment", "--train", str(train), "--test", str(gold),
                  "--sweep", "depth", "--values", "1,2",
                  "--sample-per-depth", "none",
                  "--out", str(tmp_path / "exp")]) == 0
-    assert len(models) == 3 and alive == [False] * 6
+    assert len(models) == 2 and alive == [False] * 4
 
 
 def test_score_identity(toy_paths, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import pytest
 
-from dop import (Fragment, RestrictionSet, Site, build_model,
-                 extract_treebank, good_turing_adjust, model_from_text,
-                 model_to_text, read_treebank, train_unknown_model)
+from dop import (Fragment, RestrictionSet, SentenceParser, Site,
+                 build_model, extract_treebank, good_turing_adjust,
+                 model_from_text, model_to_text, read_treebank,
+                 train_unknown_model)
 from dop.modelio import ModelFormatError, load_model, write_model
 from conftest import TOY_HEAD_RULES
 
@@ -53,8 +54,16 @@ def test_loaded_entries_share_equal_numbers(toy_model):
             assert len(first) < len(loaded.entries)
 
 
+def _parser_keys(path):
+    with open(path, encoding="utf8") as handle:
+        return {rule.fragment.key for rule in SentenceParser(handle).rules}
+
+
+@pytest.mark.parametrize("read_keys", [
+    lambda path: set(load_model(path).entries), _parser_keys,
+], ids=["load_model", "parser"])
 def test_key_pieces_are_dropped_with_the_load(tmp_path, toy_model,
-                                              monkeypatch):
+                                              monkeypatch, read_keys):
     import weakref
     import dop.modelio
     made = []
@@ -67,9 +76,9 @@ def test_key_pieces_are_dropped_with_the_load(tmp_path, toy_model,
     monkeypatch.setattr(dop.modelio, "KeyPieces", RecordedPieces)
     path = tmp_path / "toy.dopmodel"
     write_model(toy_model, path)
-    loaded = load_model(path)
+    keys = read_keys(path)
     assert len(made) == 1 and made[0]() is None
-    assert set(loaded.entries) == set(toy_model.entries)
+    assert keys == set(toy_model.entries)
 
 
 def test_serialization_deterministic_and_stable(toy_model):
@@ -199,3 +208,85 @@ def test_model_read_from_lines_equals_model_read_from_text(toy_model):
     text = model_to_text(toy_model)
     from_lines = model_from_text(iter(text.splitlines(keepends=True)))
     assert model_to_text(from_lines) == text
+
+
+def _entry_lines(text):
+    """The lines of text, and the index of its first entry row."""
+    lines = text.split("\n")
+    return lines, lines.index("entries") + 1
+
+
+def _repeat_np_john(lines, first):
+    row = lines.index("1\t1/4\t(NP john)", first)
+    lines.insert(row + 1, lines[row])
+    return row + 2
+
+
+def _swap_two_rows(lines, first):
+    lines[first + 2], lines[first + 3] = lines[first + 3], lines[first + 2]
+    return first + 4
+
+
+def _swap_first_and_last_rows(lines, first):
+    # (VP (V) (NP)) first: the row after it, (NP mary), is out of order
+    lines[first], lines[-2] = lines[-2], lines[first]    # "" after the last
+    return first + 2
+
+
+@pytest.mark.parametrize("change", [_repeat_np_john, _swap_two_rows,
+                                    _swap_first_and_last_rows],
+                         ids=["repeated-row", "swapped-rows",
+                              "swapped-roots"])
+def test_parse_refuses_entry_rows_out_of_order(tmp_path, toy_model, capsys,
+                                               change):
+    # the per-root sums match either way: only the order tells
+    from dop.cli import main
+    lines, first = _entry_lines(model_to_text(toy_model))
+    lineno = change(lines, first)
+    path = tmp_path / "bad.dopmodel"
+    path.write_text("\n".join(lines))
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dop parse: line %d: entry " % lineno)
+    assert "Traceback" not in err
+    with pytest.raises(ModelFormatError, match="^line %d: " % lineno):
+        model_from_text("\n".join(lines))
+
+
+def test_respaced_keys_load_and_parse_the_same(tmp_path, toy_model):
+    # order is checked on the canonical key, whatever the spacing
+    from dop.cli import main
+    text = model_to_text(toy_model)
+    lines, first = _entry_lines(text)
+    lines[first:] = [line.replace(" (", "  (") for line in lines[first:]]
+    row = lines.index("1\t1/20\t(S  (NP john)  (VP))")
+    lines[row] = "1\t1/20\t(S  (NP john)\t(VP))"
+    respaced = "\n".join(lines)
+    assert model_to_text(model_from_text(respaced)) == text
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\npeter hates mary\nsam likes john\n")
+    outputs = []
+    for name, content in (("toy", text), ("respaced", respaced)):
+        path = tmp_path / ("%s.dopmodel" % name)
+        path.write_text(content)
+        out = tmp_path / ("%s.txt" % name)
+        assert main(["parse", "--model", str(path), "--input", str(sents),
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"(S ") == 2
+
+
+def test_bad_prune_ratio_fails_before_the_entry_rows(tmp_path, toy_model,
+                                                     capsys):
+    from dop.cli import main
+    text, lineno = _corrupt_first_entry(model_to_text(toy_model))
+    path = tmp_path / "bad.dopmodel"
+    path.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents),
+                 "--prune-ratio", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "dop parse: prune_ratio must be in (0, 1]\n"

@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import pickle
 import random
@@ -11,11 +12,11 @@ import dop.parser
 from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
                  RestrictionSet, SentenceParser, Site, Tree, build_model,
                  compose, derivation_probability, enumerate_derivations,
-                 extract_treebank, most_probable_parse, nbest_derivations,
-                 read_treebank, read_trees, to_rules, train_unknown_model,
-                 write_tree)
-from dop.modelio import model_from_text
-from dop.parser import Derivation, _scaled, _unscaled
+                 extract_treebank, good_turing_adjust, most_probable_parse,
+                 nbest_derivations, read_treebank, read_trees,
+                 train_unknown_model, write_tree)
+from dop.modelio import model_from_text, model_to_text
+from dop.parser import Derivation, _log, _scaled, _unscaled
 from dop.tree import Treebank
 from conftest import TOY_HEAD_RULES, random_tree, unary_chain_model
 
@@ -58,10 +59,10 @@ def test_compose_chain_closes_to_tree():
     assert write_tree(result) == "(S (NP john) (VP (V hates) (NP susan)))"
 
 
-# ---------------------------------------------------------------- to_rules
+# ------------------------------------------------------------------- rules
 
-def test_to_rules_frontier_reading(toy_model):
-    rules = {r.fragment.key: r for r in to_rules(toy_model)}
+def test_rules_frontier_reading(toy_model):
+    rules = {r.fragment.key: r for r in SentenceParser(toy_model).rules}
     lexical = rules["(S (NP john) (VP))"]
     assert lexical.lhs == "S"
     assert lexical.rhs == ("john", Site("VP"))
@@ -71,7 +72,7 @@ def test_to_rules_frontier_reading(toy_model):
 
 def test_rules_pickle_and_keep_lazy_fields(toy_model):
     # a pool that spawns its workers pickles the parser to them
-    for rule in to_rules(toy_model):
+    for rule in SentenceParser(toy_model).rules:
         copy = pickle.loads(pickle.dumps(rule))
         assert (copy.lhs, copy.rhs, copy.fragment, copy.logprob,
                 copy.index) == (rule.lhs, rule.rhs, rule.fragment,
@@ -92,7 +93,7 @@ def test_rules_of_one_root_share_one_lhs():
         random.Random(seed), max_internal=12)) for seed in range(30)))
     model = build_model(extract_treebank(bank), RestrictionSet(),
                         TOY_HEAD_RULES)
-    rules = to_rules(model)
+    rules = SentenceParser(model).rules
     shared = {}
     for rule in rules:
         assert shared.setdefault(rule.lhs, rule.lhs) is rule.lhs
@@ -120,8 +121,8 @@ def test_sentence_parser_pickles_without_the_model(toy_treebank, toy_model):
                                    for r in copy.oov_rules(words)]
 
 
-def test_to_rules_bijection(toy_model):
-    rules = to_rules(toy_model)
+def test_rules_bijection(toy_model):
+    rules = SentenceParser(toy_model).rules
     assert len(rules) == len(toy_model.entries)
     assert len({r.index for r in rules}) == len(rules)
     for rule in rules:
@@ -129,10 +130,36 @@ def test_to_rules_bijection(toy_model):
         assert math.isclose(rule.logprob, math.log(float(entry.probability)))
 
 
+def _assert_rules_from_model_and_file_agree(model):
+    # a model's rules are its file's rules: in (root, key) order, indexed
+    # by row, each log probability that of the entry's exact probability
+    from_model = SentenceParser(model).rules
+    from_file = SentenceParser(io.StringIO(model_to_text(model))).rules
+    assert [(r.fragment.key, r.lhs, r.rhs, r.logprob.hex(), r.index)
+            for r in from_model] == \
+        [(r.fragment.key, r.lhs, r.rhs, r.logprob.hex(), r.index)
+         for r in from_file]
+    entries = model.entries
+    assert [r.fragment.key for r in from_model] == sorted(
+        entries, key=lambda key: (entries[key].fragment.root, key))
+    assert [r.index for r in from_model] == list(range(len(entries)))
+    for rules in (from_model, from_file):
+        lhs = {}
+        for rule in rules:
+            assert rule.logprob == _log(entries[rule.fragment.key].probability)
+            assert lhs.setdefault(rule.lhs, rule.lhs) is rule.lhs
+        assert len(lhs) == len({e.fragment.root for e in entries.values()})
+
+
+def test_rules_from_a_model_equal_rules_from_its_file(toy_model):
+    _assert_rules_from_model_and_file_agree(toy_model)
+    _assert_rules_from_model_and_file_agree(good_turing_adjust(toy_model))
+
+
 # ---------------------------------------------------------------- chart
 
 def test_chart_full_span_start_item(toy_model):
-    chart = ChartParser(to_rules(toy_model), start_labels=["S"],
+    chart = ChartParser(SentenceParser(toy_model).rules, start_labels=["S"],
                         priors=toy_model.priors,
                         prune_ratio=1e-300).chart("john likes mary".split())
     assert chart.item("S", 0, 3) is not None
@@ -140,7 +167,7 @@ def test_chart_full_span_start_item(toy_model):
 
 
 def test_chart_uncovered_word_is_no_parse(toy_model):
-    chart = ChartParser(to_rules(toy_model), start_labels=["S"],
+    chart = ChartParser(SentenceParser(toy_model).rules, start_labels=["S"],
                         priors=toy_model.priors,
                         prune_ratio=1e-300).chart("john likes zebras".split())
     assert not chart.start_items
@@ -148,17 +175,18 @@ def test_chart_uncovered_word_is_no_parse(toy_model):
 
 
 def test_chart_rejects_bad_ratio(toy_model):
+    rules = SentenceParser(toy_model).rules
     with pytest.raises(ValueError):
-        ChartParser(to_rules(toy_model), start_labels=["S"], prune_ratio=0.0)
+        ChartParser(rules, start_labels=["S"], prune_ratio=0.0)
     with pytest.raises(ValueError):
-        ChartParser(to_rules(toy_model), start_labels=["S"], prune_ratio=1.5)
+        ChartParser(rules, start_labels=["S"], prune_ratio=1.5)
 
 
 # ---------------------------------------------------------------- n-best
 
 def nbest(model, sentence, n=100000, ratio=1e-300):
-    chart = ChartParser(to_rules(model), start_labels=model.start_labels,
-                        priors=model.priors,
+    chart = ChartParser(SentenceParser(model).rules,
+                        start_labels=model.start_labels, priors=model.priors,
                         prune_ratio=ratio).chart(sentence)
     return nbest_derivations(chart, n)
 
@@ -177,7 +205,7 @@ def test_nbest_resumes_on_the_same_chart(toy_model):
     # the search state stays on the chart items: a second, longer request
     # continues it and repeats the first one's derivations
     words = "john likes mary".split()
-    chart = ChartParser(to_rules(toy_model), start_labels=["S"],
+    chart = ChartParser(SentenceParser(toy_model).rules, start_labels=["S"],
                         prune_ratio=1e-300).chart(words)
     first = nbest_derivations(chart, 5)
     every = nbest_derivations(chart, 10 ** 5)
@@ -197,7 +225,8 @@ def test_nbest_ties_across_start_labels_keep_label_order():
     # label; order recorded before the goal item was removed
     model = model_from("(A w)\n(A (C w))\n(B w)\n(B (C w))\n",
                        start={"A", "B"})
-    chart = ChartParser(to_rules(model), start_labels=model.start_labels,
+    chart = ChartParser(SentenceParser(model).rules,
+                        start_labels=model.start_labels,
                         prune_ratio=1e-300).chart(["w"])
     assert [item.label for item in chart.start_items] == ["A", "B"]
     derivations = nbest_derivations(chart, 100)
@@ -359,7 +388,7 @@ def test_unary_cycle_raises():
                          frag("(A w)"): 1, frag("(B v)"): 1})
     model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
                         start_labels={"A"})
-    chart = ChartParser(to_rules(model), start_labels=["A"],
+    chart = ChartParser(SentenceParser(model).rules, start_labels=["A"],
                         prune_ratio=1e-300).chart(["w"])
     with pytest.raises(CyclicGrammarError):
         nbest_derivations(chart, 10)
@@ -375,7 +404,7 @@ def test_chart_keeps_a_stale_inside_score():
                          frag("(B w)"): 1, frag("(C (A))"): 1})
     model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
                         start_labels={"C"})
-    rules = {rule.fragment.key: rule for rule in to_rules(model)}
+    rules = {rule.fragment.key: rule for rule in SentenceParser(model).rules}
     chart = ChartParser(rules.values(), start_labels=["C"],
                         prune_ratio=1e-300).chart(["w"])
     cell = chart.cells[(0, 1)]
@@ -421,7 +450,7 @@ def test_unary_chain_completion_is_linear():
     fragments[frag("(X%d w)" % (depth - 1))] = 1
     model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
                         start_labels={"X0"})
-    parser = ChartParser(to_rules(model), start_labels=["X0"],
+    parser = ChartParser(SentenceParser(model).rules, start_labels=["X0"],
                          prune_ratio=1e-300)
     parser.completions = _CountingList(parser.completions)
     chart = parser.chart(["w"])
@@ -456,7 +485,7 @@ def test_completions_index_matches_rules_on_random_banks():
         model = build_model(extract_treebank(bank), RestrictionSet(),
                             TOY_HEAD_RULES,
                             start_labels={t.label for t in bank.trees})
-        parser = ChartParser(to_rules(model), start_labels={"S"})
+        parser = ChartParser(SentenceParser(model).rules, start_labels={"S"})
         completions = parser.completions
         # nodes are numbered 0..N-1 in the order they were made
         nodes = list(parser.first_step.values()) + [
@@ -675,6 +704,7 @@ def test_differential_against_oracle_on_random_banks():
         model = build_model(extract_treebank(bank), RestrictionSet(),
                             TOY_HEAD_RULES,
                             start_labels={t.label for t in bank.trees})
+        _assert_rules_from_model_and_file_agree(model)
         if SentenceParser(model).unary_cycle is not None:
             cyclic += 1       # infinite derivation sets; covered elsewhere
             continue
