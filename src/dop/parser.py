@@ -12,6 +12,13 @@ prior-weighted scores; derivations come out of the pruned forest through
 lazy n-best extraction as bracketed strings, and the most probable parse
 sums derivation probabilities per string. A parse is that string; a Tree
 is read from it only when asked for.
+
+The n-best search keeps its state on the chart items: each item lists its
+first candidates and heapifies them once, and a popped candidate's
+successors are pushed inline, from the tails' derivation lists, with a
+call only where a tail must find a new derivation. Bracketed strings are
+formatted through a memo held by the chart, once per (rule form, site
+strings) combination, so derivations of one tree share one string.
 """
 
 import math
@@ -19,7 +26,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 
 from .fragments import _SITE, Fragment
@@ -145,13 +152,12 @@ class ChartItem:
     (-logprob, edge index, a, b) on a prefix item (see _get_kth), and the
     one entry (-0.0,) on a word item. cand is the heap of candidate
     entries, and None once the item has no more derivations (and before
-    the first request, while derivs is None); pending is the last popped
-    entry, whose successors are pushed on the next request; reals maps k
-    to the realization of derivs[k] (see _realize).
+    the first request, while derivs is None); the successors of the last
+    entry of derivs enter cand on the next request; reals maps k to the
+    realization of derivs[k] (see _realize).
     """
 
-    __slots__ = ("sym", "span", "inside", "edges",
-                 "derivs", "cand", "pending", "reals")
+    __slots__ = ("sym", "span", "inside", "edges", "derivs", "cand", "reals")
 
     def __init__(self, sym, span):
         self.sym = sym
@@ -160,7 +166,6 @@ class ChartItem:
         self.edges = []
         self.derivs = None
         self.cand = None
-        self.pending = None
         self.reals = None
 
     @property
@@ -172,13 +177,19 @@ class ChartItem:
 
 
 class Chart:
-    """Pruned parse forest for one sentence."""
+    """Pruned parse forest for one sentence.
+
+    strings is the memo of _realize: it maps each (rule form, site strings
+    right to left) to the bracketed string they format to, and each such
+    string to itself, so the derivations of one tree share one string.
+    """
 
     def __init__(self, sentence, cells, start_items, unary_cycle=None):
         self.sentence = sentence
         self.cells = cells
         self.start_items = start_items
         self.unary_cycle = unary_cycle
+        self.strings = {}
 
     def item(self, label, start, end):
         return self.cells.get((start, end), {}).get(("n", label))
@@ -446,10 +457,21 @@ def _get_kth(item, k):
     item whose edges have one tail (a complete item), and (-logprob, edge
     index, a, b) on a prefix item, whose edges are binary steps; j, a and
     b index the tails' derivations. Each candidate has one designated
-    predecessor, so none is pushed twice. Successors never score above
-    their predecessor, so entries come out in tuple order whichever way
-    the heap is fed. Once the heap runs dry, cand is set to None: the item
-    has no more derivations, and callers that see that ask no further.
+    predecessor, so none is pushed twice: (j) is followed by (j + 1), and
+    (a, b) by (a, b + 1), and also by (a + 1, 0) while b is 0.
+
+    The first candidates, one per edge, are listed and heapified once;
+    successors are pushed here, reading each tail's derivs directly, and
+    a tail is asked through a call only for a derivation it has not yet
+    found. So the search takes one frame per forest level. Every entry is
+    a distinct tuple and successors never score above their predecessor,
+    so entries come out in tuple order however the heap was built. Once
+    the heap runs dry, cand is set to None: the item has no more
+    derivations, and callers that see that ask no further.
+
+    A successor's score sums as (weight + left) + right on a prefix step,
+    the order its first candidate was scored in; on negated scores that
+    is (weight - left_neg) - right_neg, which rounds the same.
     """
     derivs = item.derivs
     if derivs is None:
@@ -458,89 +480,85 @@ def _get_kth(item, k):
             # log 1, negated: a rule's w - -0.0 is w + 0.0, bit for bit
             derivs.append((-0.0,))
             return derivs[0] if k == 0 else None
-        item.cand = []
         item.reals = {}
-        for edge_idx, (_, tails, _) in enumerate(item.edges):
-            if len(tails) == 1:
-                _push_one(item, edge_idx, 0)
+        cand = []
+        if item.sym[0] == "p":
+            for edge_idx, (_, (left, right), weight) in enumerate(item.edges):
+                first = left.derivs
+                first = first[0] if first else _get_kth(left, 0)
+                if first is None:
+                    continue
+                second = right.derivs
+                second = second[0] if second else _get_kth(right, 0)
+                if second is not None:
+                    cand.append((-((weight - first[0]) - second[0]),
+                                 edge_idx, 0, 0))
+        else:
+            for edge_idx, (_, (tail,), weight) in enumerate(item.edges):
+                first = tail.derivs
+                first = first[0] if first else _get_kth(tail, 0)
+                if first is not None:
+                    cand.append((-(weight - first[0]), edge_idx, 0))
+        heapify(cand)
+        item.cand = cand
+    elif k < len(derivs):
+        return derivs[k]
+    else:
+        cand = item.cand
+        if cand is None:
+            return None
+    edges = item.edges
+    while True:
+        if derivs:
+            # the successors of the last entry popped
+            last = derivs[-1]
+            if len(last) == 3:
+                _, edge_idx, j = last
+                _, (tail,), weight = edges[edge_idx]
+                j += 1
+                sub = tail.derivs
+                sub = (sub[j] if j < len(sub)
+                       else None if tail.cand is None else _get_kth(tail, j))
+                if sub is not None:
+                    heappush(cand, (-(weight - sub[0]), edge_idx, j))
             else:
-                _push_two(item, edge_idx, 0, 0)
-    cand = item.cand
-    while len(derivs) <= k:
-        pending = item.pending
-        if pending is not None:
-            item.pending = None
-            if len(pending) == 3:
-                _push_one(item, pending[1], pending[2] + 1)
-            else:
-                # (a, b) bumps a only while b is 0
-                _, edge_idx, a, b = pending
+                _, edge_idx, a, b = last
+                _, (left, right), weight = edges[edge_idx]
+                left_derivs = left.derivs
+                right_derivs = right.derivs
                 if b == 0:
-                    _push_two(item, edge_idx, a + 1, 0)
-                _push_two(item, edge_idx, a, b + 1)
+                    sub = (left_derivs[a + 1] if a + 1 < len(left_derivs)
+                           else None if left.cand is None
+                           else _get_kth(left, a + 1))
+                    if sub is not None:
+                        heappush(cand, (-((weight - sub[0])
+                                          - right_derivs[0][0]),
+                                        edge_idx, a + 1, 0))
+                b += 1
+                sub = (right_derivs[b] if b < len(right_derivs)
+                       else None if right.cand is None
+                       else _get_kth(right, b))
+                if sub is not None:
+                    heappush(cand, (-((weight - left_derivs[a][0]) - sub[0]),
+                                    edge_idx, a, b))
         if not cand:
             item.cand = None
             return None
-        pending = item.pending = heappop(cand)
-        derivs.append(pending)
-    return derivs[k]
+        derivs.append(heappop(cand))
+        if len(derivs) > k:
+            return derivs[k]
 
 
-def _push_one(item, edge_idx, j):
-    """Push candidate j of a one-tail edge, if the tail has a j-th."""
-    _, tails, weight = item.edges[edge_idx]
-    tail = tails[0]
-    derivs = tail.derivs
-    if derivs is not None and j < len(derivs):
-        neg = derivs[j][0]
-    elif derivs is not None and tail.cand is None:
-        return
-    else:
-        sub = _get_kth(tail, j)
-        if sub is None:
-            return
-        neg = sub[0]
-    heappush(item.cand, (-(weight - neg), edge_idx, j))
-
-
-def _push_two(item, edge_idx, a, b):
-    """Push candidate (a, b) of a prefix step, if both tails have theirs.
-
-    The score sums as (weight + left) + right, the order every other
-    candidate of the item was scored in; on negated scores that is
-    (weight - left_neg) - right_neg, which rounds the same.
-    """
-    _, (left, right), weight = item.edges[edge_idx]
-    derivs = left.derivs
-    if derivs is not None and a < len(derivs):
-        left_neg = derivs[a][0]
-    elif derivs is not None and left.cand is None:
-        return
-    else:
-        sub = _get_kth(left, a)
-        if sub is None:
-            return
-        left_neg = sub[0]
-    derivs = right.derivs
-    if derivs is not None and b < len(derivs):
-        right_neg = derivs[b][0]
-    elif derivs is not None and right.cand is None:
-        return
-    else:
-        sub = _get_kth(right, b)
-        if sub is None:
-            return
-        right_neg = sub[0]
-    heappush(item.cand, (-((weight - left_neg) - right_neg), edge_idx, a, b))
-
-
-def _realize(item, k):
+def _realize(item, k, strings):
     """The k-th derivation of an 'n' item as (fragment, subs, string, sum).
 
-    subs are the realizations of the substitution sites, right to left;
-    the string fills the rule's format string with theirs; sum is the
-    derivation's log probability scaled by 2**1074, an exact int (see
-    _scaled). Kept in item.reals[k], so a subderivation shared by many
+    subs are the realizations of the substitution sites, right to left,
+    collected while walking the rule's prefix chain; the string fills the
+    rule's format string with theirs; sum is the derivation's log
+    probability scaled by 2**1074, an exact int (see _scaled). strings is
+    the chart's memo of formatted strings (see Chart): each (rule form,
+    site strings) is formatted once, so derivations of one tree share one
+    string. Kept in item.reals[k], so a subderivation shared by many
     derivations is realized once; callers look there first.
     """
     _, edge_idx, j = item.derivs[k]
@@ -550,25 +568,35 @@ def _realize(item, k):
     # sequence, right to left; the 'n' items are the sites (words carry
     # no subderivation)
     subs = []
+    key = [rule.form]
     while tail.sym[0] == "p":
         _, edge_idx, j, site_k = tail.derivs[j]
         tail, right = tail.edges[edge_idx][1]
         if right.sym[0] == "n":
             sub = right.reals.get(site_k)
             if sub is None:
-                sub = _realize(right, site_k)
+                sub = _realize(right, site_k, strings)
             total += sub[3]
             subs.append(sub)
+            key.append(sub[2])
     if tail.sym[0] == "n":
         sub = tail.reals.get(j)
         if sub is None:
-            sub = _realize(tail, j)
+            sub = _realize(tail, j, strings)
         total += sub[3]
         subs.append(sub)
+        key.append(sub[2])
     if subs:
-        bracketed = rule.form % tuple([sub[2] for sub in reversed(subs)])
+        key = tuple(key)
+        bracketed = strings.get(key)
+        if bracketed is None:
+            # key[:0:-1] is the site strings, left to right
+            bracketed = rule.form % key[:0:-1]
+            bracketed = strings[key] = strings.setdefault(bracketed,
+                                                          bracketed)
     else:
         bracketed = rule.fragment.key
+        bracketed = strings.setdefault(bracketed, bracketed)
     result = item.reals[k] = (rule.fragment, subs, bracketed, total)
     return result
 
@@ -582,8 +610,10 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     order. Each derivation carries its tree as a bracketed string; no Tree
     is built here. Probabilities are recomputed from the fragments as
     exact sums, rounded once, then checked against the extraction scores.
-    The search state (derivs, cand, pending, reals) lives on the chart
-    items, so a second call on the same chart resumes it.
+    The search state (derivs, cand, reals) lives on the chart items, and
+    the memo of formatted strings on the chart (see Chart), so a second
+    call on the same chart resumes the search, and every derivation of
+    one tree carries the same bracketed string object.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -605,7 +635,7 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
         start_item = starts[index]
         realized = start_item.reals.get(k)
         if realized is None:
-            realized = _realize(start_item, k)
+            realized = _realize(start_item, k, chart.strings)
         logprob = _unscaled(realized[3])
         if not math.isclose(logprob, -neg, rel_tol=1e-9, abs_tol=1e-9):
             raise AssertionError(

@@ -3,6 +3,7 @@ import io
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -381,6 +382,37 @@ def test_deep_unary_chain_parses():
         labels.append(node.label)
         (node,) = node.children
     assert labels == ["X%d" % i for i in range(depth)] and node == "w"
+
+
+def test_nbest_parses_a_450_level_chain_of_depth1_fragments():
+    # 450 rules deep: the n-best search and the realization of its one
+    # derivation each take one frame per level, which fits the default
+    # recursion limit with room to spare
+    assert sys.getrecursionlimit() == 1000
+    depth = 450
+    fragments = Counter({frag("(X%d (X%d))" % (i, i + 1)): 1
+                         for i in range(depth - 1)})
+    fragments[frag("(X%d w)" % (depth - 1))] = 1
+    model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
+                        start_labels={"X0"})
+    chain = "".join("(X%d " % i for i in range(depth)) + "w" + ")" * depth
+    result = SentenceParser(model, prune_ratio=1e-300).parse(["w"])
+    assert result.tree_tallies == ((chain, 1, 1.0),)
+
+
+def test_parsing_leaves_no_state_in_the_parser_module(toy_model):
+    # the search state lives on the chart and its items: no dict or list
+    # of the module grows as sentences are parsed
+    def sizes():
+        return {name: len(value) for name, value in vars(dop.parser).items()
+                if isinstance(value, (dict, list))}
+
+    before = sizes()
+    parser = SentenceParser(toy_model, prune_ratio=1e-300)
+    for sentence in ("john likes mary", "john hates susan",
+                     "peter hates mary", "mary likes john", "zebras"):
+        parser.parse(sentence.split())
+    assert sizes() == before
 
 
 def test_unary_cycle_raises():
