@@ -3,8 +3,12 @@
 Commands: train, parse, experiment, score, oracle. Exit codes: 0 success,
 1 usage error, 2 data error. All options can also come from a --config
 file of key=value lines; explicit command-line values win. `dop parse` and
-`dop experiment` build their parsers from a model file's rows (see
-`parser.SentenceParser`): neither holds a model while parsing.
+`dop experiment` check their parse settings first, then read the
+sentences they will parse, then build their parser from the model file's
+rows through one function, `_sentence_parser`: only the rows whose
+frontier words all occur in those sentences become rules (see
+`parser.SentenceParser`), and neither command holds a model while
+parsing.
 
 Every command runs with Python's cycle collector off, set once in `main`
 and back as the caller had it when `main` returns. Trees, fragments,
@@ -336,15 +340,33 @@ def _parse_corpus(parser, sentences, workers):
     return [_parse_one(parser, words) for words in sentences]
 
 
+def _parse_settings(options):
+    """(n_best, prune_ratio, workers), checked before any file is read, so
+    that a bad setting fails the command whatever the input."""
+    n_best = options.integer("n_best")
+    if n_best < 1:
+        raise ValueError("n_best must be >= 1")
+    prune_ratio = options.floating("prune_ratio")
+    if not 0.0 < prune_ratio <= 1.0:
+        raise ValueError("prune_ratio must be in (0, 1]")
+    return n_best, prune_ratio, options.integer("workers")
+
+
+def _sentence_parser(path, sentences, n_best, prune_ratio):
+    """The parser of the model file at path for these sentences: only the
+    entry rows whose frontier words all occur in them become rules."""
+    with open(path, encoding="utf8") as handle:
+        return SentenceParser(handle, n_best=n_best, prune_ratio=prune_ratio,
+                              words={word for words in sentences
+                                     for word in words})
+
+
 def cmd_parse(args) -> int:
     options = _Options(args)
-    n_best = options.integer("n_best")
-    prune_ratio = options.floating("prune_ratio")
-    with open(args.model, encoding="utf8") as handle:
-        parser = SentenceParser(handle, n_best=n_best,
-                                prune_ratio=prune_ratio)
+    n_best, prune_ratio, workers = _parse_settings(options)
     sentences = _read_sentences(args.input)
-    rows = _parse_corpus(parser, sentences, options.integer("workers"))
+    parser = _sentence_parser(args.model, sentences, n_best, prune_ratio)
+    rows = _parse_corpus(parser, sentences, workers)
     out = _open_out(args.output)
     try:
         for bracketed, _, _, _ in rows:
@@ -372,13 +394,7 @@ def cmd_experiment(args) -> int:
     options.smoothing()
     options.integer("seed")
     options.integer("unknown_threshold")
-    n_best = options.integer("n_best")
-    if n_best < 1:
-        raise ValueError("n_best must be >= 1")
-    prune_ratio = options.floating("prune_ratio")
-    if not 0.0 < prune_ratio <= 1.0:
-        raise ValueError("prune_ratio must be in (0, 1]")
-    workers = options.integer("workers")
+    n_best, prune_ratio, workers = _parse_settings(options)
 
     os.makedirs(args.out, exist_ok=True)
     treebank = _read_normalized_treebank(args.train)
@@ -397,9 +413,7 @@ def cmd_experiment(args) -> int:
             path = os.path.join(args.out, "model_%s.dopmodel" % bound)
             write_model(model, path)
             del model              # parsed from the file, as `dop parse` does
-            with open(path, encoding="utf8") as handle:
-                parser = SentenceParser(handle, n_best=n_best,
-                                        prune_ratio=prune_ratio)
+            parser = _sentence_parser(path, sentences, n_best, prune_ratio)
             rows = _parse_corpus(parser, sentences, workers)
             del parser
             parse_path = os.path.join(args.out, "parse_%s.txt" % bound)

@@ -3,7 +3,10 @@
 Each entry row of a model file becomes a rule: lhs = the fragment's root,
 rhs = its frontier (words and substitution sites) left to right, index =
 the row's position. A parser is built from the rows alone, and keeps no
-model. Rule right-hand sides are matched through a shared prefix trie,
+model. A parser built for a set of words makes no rule of a row whose
+frontier holds a word outside it: such a rule could complete in no
+sentence of those words, so the parses are the same, from fewer rules.
+Rule right-hand sides are matched through a shared prefix trie,
 which left-factors long rules into binary steps; the dotted prefix items
 this creates are internal to the parser. The trie's nodes are numbered in
 the order they are made, and a list indexed by node holds the rules that
@@ -693,34 +696,71 @@ class SentenceParser(ChartParser):
     out-of-vocabulary words and most-probable-parse selection.
 
     model is the lines of a model file, such as the open file, or a
-    FragmentModel, read through the lines it writes. Rule i is entry row i.
-    Besides the rules the parser keeps what oov_rules reads (the unknown-word
-    model, root totals, reserved mass and whether it is smoothed).
+    FragmentModel, read through the lines it writes. words, when given, is
+    every word the parser will be asked to parse: an entry row with a
+    frontier word outside it becomes no rule, since no chart item of such a
+    sentence could complete it. Every row is still read and checked, the
+    vocabulary holds the words of every row, and a rule's index is its
+    entry row's number, so the charts, derivations and parses are those of
+    a parser built with words=None. Besides the rules the parser keeps what
+    oov_rules reads (the unknown-word model, root totals, reserved mass,
+    whether it is smoothed, and the number of entry rows).
     """
 
-    def __init__(self, model, n_best: int = 1000, prune_ratio: float = 1e-5):
+    def __init__(self, model, n_best: int = 1000, prune_ratio: float = 1e-5,
+                 words=None):
         if n_best < 1:
             raise ValueError("n_best must be >= 1")
         if isinstance(model, FragmentModel):
             model = _model_lines(model)
         header, rows = read_model(model, lambda p: _log(_probability(p)))
+        words = self.words = None if words is None else frozenset(words)
+        skipped = set()         # the words of the rows skipped
+
+        def usable_rules():
+            index = -1
+            for index, (fragment, _, logprob) in enumerate(rows):
+                if words is not None:
+                    # a Site hashes through Python code: leave them out
+                    read = [element for element in fragment.frontier
+                            if element.__class__ is str]
+                    if not words.issuperset(read):
+                        skipped.update(read)
+                        continue
+                yield _rule(fragment, logprob, index)
+            self.entry_rows = index + 1
+
         # the entry rows are read once ChartParser has checked prune_ratio
-        rules = (_rule(fragment, logprob, index)
-                 for index, (fragment, _, logprob) in enumerate(rows))
-        super().__init__(rules, header.start_labels, priors=header.priors,
-                         prune_ratio=prune_ratio)
+        super().__init__(usable_rules(), header.start_labels,
+                         priors=header.priors, prune_ratio=prune_ratio)
         self.n_best = n_best
         self.unknown_words = header.unknown_words
         self.root_totals = header.root_totals
         self.reserved_mass = header.reserved_mass
         self.smoothed = header.smoothed
-        # the model's words: each one is a word symbol of the trie
+        # the model's words: those of the kept rules, each a word symbol of
+        # the trie, and those of the rows skipped
         self.vocabulary = {sym[1] for sym in chain(self.first_step,
                                                    self.steps_on)
                            if sym[0] == "w"}
+        self.vocabulary |= skipped
+
+    def chart(self, sentence, extra_rules=()) -> Chart:
+        """ChartParser.chart, refusing with a ValueError a sentence that
+        holds a model word outside the words the parser was built for: the
+        rows that read it are not rules here."""
+        sentence = tuple(sentence)
+        if self.words is not None:
+            for word in sorted(set(sentence) - self.words):
+                if word in self.vocabulary:
+                    raise ValueError(
+                        "%r is a model word outside the words this parser "
+                        "was built for" % word)
+        return super().chart(sentence, extra_rules)
 
     def oov_rules(self, words) -> list:
-        """Depth-1 rules for out-of-vocabulary words via the unknown-word model."""
+        """Depth-1 rules for out-of-vocabulary words via the unknown-word
+        model, numbered after the entry rows."""
         rules = []
         unknown = self.unknown_words
         if unknown is None:
@@ -742,7 +782,7 @@ class SentenceParser(ChartParser):
                     continue
                 rules.append(_rule(Fragment("(%s %s)" % (tag, word)),
                                    _log(probability),
-                                   len(self.rules) + len(rules)))
+                                   self.entry_rows + len(rules)))
         return rules
 
     def derivations(self, words) -> list:

@@ -129,3 +129,26 @@ def unary_chain_model(depth):
         "\tmax_nonheadwords=-\tsample_per_depth=-\n"
         "smoothing\toff\nstart\tX0\nprior\tX0\t1\nroot\tX0\t1\t1\t0\n"
         "entries\n1\t1\t%s\n" % key)
+
+
+def _nbest_keys(parser, words):
+    return [(d.logprob.hex(), d.bracketed, tuple(f.key for f in d.fragments))
+            for d in parser.derivations(words)]
+
+
+def assert_parser_for_words_agrees(full, model, words, **settings):
+    """A parser of model built for words against full, one built for every
+    row with the same settings: its rules are full's whose frontier words
+    all lie in words, each with its index, its vocabulary is full's, and
+    it gives full's n-best list and parse of words. Returns the number of
+    rules it kept."""
+    from dop import SentenceParser, Site
+    kept = SentenceParser(model, words=words, **settings)
+    allowed = set(words)
+    assert [(r.fragment.key, r.logprob.hex(), r.index) for r in kept.rules] \
+        == [(r.fragment.key, r.logprob.hex(), r.index) for r in full.rules
+            if all(isinstance(e, Site) or e in allowed for e in r.rhs)]
+    assert kept.vocabulary == full.vocabulary
+    assert _nbest_keys(kept, words) == _nbest_keys(full, words)
+    assert kept.parse(words) == full.parse(words)
+    return len(kept.rules)

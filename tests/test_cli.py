@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import dop.cli
 import dop.parser
 from dop.cli import _parse_corpus, main
 from dop import (GrammarError, SentenceParser, load_model, read_trees,
@@ -197,7 +198,7 @@ def test_parse_empty_input(toy_paths, tmp_path):
 
 def test_parse_zero_n_best_is_data_error_without_sentences(toy_paths,
                                                           tmp_path, capsys):
-    # a blank line reaches no n-best search; the parser's own check fails it
+    # a blank line reaches no n-best search; the settings check fails it
     _, model_path = toy_paths
     sents = tmp_path / "blank.txt"
     sents.write_text("\n")
@@ -206,6 +207,61 @@ def test_parse_zero_n_best_is_data_error_without_sentences(toy_paths,
                  "--output", str(out), "--n-best", "0"]) == 2
     assert "n_best must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--prune-ratio", "0", "prune_ratio must be in (0, 1]"),
+    ("--n-best", "0", "n_best must be >= 1"),
+])
+def test_bad_parse_setting_is_reported_before_the_input_is_read(
+        toy_paths, tmp_path, capsys, flag, value, message):
+    # `dop parse` reads its input before the model, but checks its settings
+    # before either
+    _, model_path = toy_paths
+    missing = tmp_path / "missing.txt"
+    assert main(["parse", "--model", str(model_path), "--input",
+                 str(missing), flag, value]) == 2
+    assert capsys.readouterr().err == "dop parse: %s\n" % message
+    assert main(["parse", "--model", str(model_path), "--input",
+                 str(missing)]) == 2
+    assert "missing.txt" in capsys.readouterr().err
+
+
+def test_parse_builds_rules_for_the_input_words_only(toy_paths, tmp_path,
+                                                     monkeypatch):
+    # the parser `dop parse` builds is given the words of its input; one
+    # run per sentence writes the bytes one run over all of them writes
+    _, model_path = toy_paths
+    built = []
+    real = dop.cli.SentenceParser
+
+    def recording(*args, **kwargs):
+        parser = real(*args, **kwargs)
+        built.append((kwargs["words"], len(parser.rules)))
+        return parser
+
+    monkeypatch.setattr(dop.cli, "SentenceParser", recording)
+    lines = ["john likes mary", "peter hates susan", "susan likes john"]
+    sents = tmp_path / "sents.txt"
+    sents.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out.txt"
+    assert main(["parse", "--model", str(model_path), "--input", str(sents),
+                 "--output", str(out)]) == 0
+    each = []
+    one, parse = tmp_path / "one.txt", tmp_path / "parse.txt"
+    for line in lines:
+        one.write_text(line + "\n")
+        assert main(["parse", "--model", str(model_path), "--input", str(one),
+                     "--output", str(parse)]) == 0
+        each.append(parse.read_text())
+    assert "".join(each) == out.read_text()
+    assert out.read_text().count("(S ") == 3
+    everything = len(load_model(model_path).entries)
+    assert built[0] == ({w for line in lines for w in line.split()},
+                        everything)
+    assert [words for words, _ in built[1:]] == [set(line.split())
+                                                 for line in lines]
+    assert all(rules < everything for _, rules in built[1:])
 
 
 def _run_python(argv):

@@ -20,7 +20,7 @@ from dop.fragments import dump_fragments, sample_fragments
 from dop.modelio import load_model
 from dop.parser import SentenceParser
 from dop.tree import write_treebank
-from conftest import synthetic_treebank
+from conftest import assert_parser_for_words_agrees, synthetic_treebank
 
 PARSE_SHA256 = (
     "5fcfbad8067b62356ddef2d9c2ccfb2e7fe91510252e83216b70d52c2c5aae84")
@@ -153,3 +153,15 @@ def test_golden_experiment(tmp_path, capsys):
     models = {path.name: _sha256(path.read_text())
               for path in sorted(out.glob("model_*.dopmodel"))}
     assert models == EXPERIMENT_MODEL_SHA256
+
+
+def test_golden_parser_for_words_agrees(golden_model):
+    # each sentence parsed by a parser built for its words alone, against
+    # one built for every row: same rules (those it keeps), n-best lists and
+    # parses; at the default settings
+    model, sents = golden_model
+    loaded = load_model(model)
+    full = SentenceParser(loaded)
+    kept = [assert_parser_for_words_agrees(full, loaded, line.split())
+            for line in sents.read_text().splitlines()]
+    assert max(kept) < len(full.rules)

@@ -255,6 +255,30 @@ def test_parse_refuses_entry_rows_out_of_order(tmp_path, toy_model, capsys,
         model_from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("change, refused", [
+    (lambda line: line.replace("1/4", "1/0"), 0),
+    (lambda line: line.replace("(NP susan)", "(NP (susan)"), 0),
+    (lambda line: line + "\n" + line, 1),
+], ids=["zero-denominator", "bad-key", "repeated-row"])
+def test_parse_refuses_a_row_its_input_cannot_use(tmp_path, toy_model,
+                                                  capsys, change, refused):
+    # the row of (NP susan) becomes no rule for this input, but it is read
+    # and checked all the same; refused is the refused line's offset from it
+    from dop.cli import main
+    text = model_to_text(toy_model)
+    lines, first = _entry_lines(text)
+    row = lines.index("1\t1/4\t(NP susan)", first)
+    lines[row] = change(lines[row])
+    path = tmp_path / "bad.dopmodel"
+    path.write_text("\n".join(lines))
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dop parse: line %d: " % (row + 1 + refused))
+    assert "Traceback" not in err
+
+
 def test_respaced_keys_load_and_parse_the_same(tmp_path, toy_model):
     # order is checked on the canonical key, whatever the spacing
     from dop.cli import main

@@ -19,7 +19,8 @@ from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
 from dop.modelio import model_from_text, model_to_text
 from dop.parser import Derivation, _log, _scaled, _unscaled
 from dop.tree import Treebank
-from conftest import TOY_HEAD_RULES, random_tree, unary_chain_model
+from conftest import (TOY_HEAD_RULES, assert_parser_for_words_agrees,
+                      random_tree, unary_chain_model)
 
 
 def frag(text):
@@ -749,3 +750,64 @@ def test_differential_against_oracle_on_random_banks():
                 model, rng.sample(words, len(words)))
     assert derivations > 500
     assert cyclic < banks
+
+
+def test_parser_for_words_agrees_on_random_banks():
+    # the banks of the oracle differential: a parser built for a sentence's
+    # words keeps fewer rules and parses it as one built for every row
+    rng = random.Random(20001)
+    banks = kept = total = 0
+    while banks < 25:
+        bank = Treebank(tuple(random_tree(rng, max_internal=7, max_depth=3)
+                              for _ in range(rng.randint(1, 3))))
+        model = build_model(extract_treebank(bank), RestrictionSet(),
+                            TOY_HEAD_RULES,
+                            start_labels={t.label for t in bank.trees})
+        full = SentenceParser(model, prune_ratio=1e-300)
+        if full.unary_cycle is not None:
+            continue
+        banks += 1
+        for tree in bank.trees:
+            words = tree.leaves()
+            for sentence in (words, rng.sample(words, len(words)),
+                             words[:1]):
+                kept += assert_parser_for_words_agrees(
+                    full, model, sentence, prune_ratio=1e-300)
+                total += len(full.rules)
+    assert kept < total
+
+
+def _toy_parsers(toy_treebank, toy_model, words):
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    return (SentenceParser(toy_model, prune_ratio=1e-300),
+            SentenceParser(toy_model, prune_ratio=1e-300, words=words))
+
+
+def test_parser_for_words_refuses_other_model_words(toy_treebank, toy_model):
+    full, kept = _toy_parsers(toy_treebank, toy_model,
+                              "john likes mary sam".split())
+    assert len(kept.rules) < len(full.rules)
+    # the rows that read "hates" and "susan" were skipped
+    for sentence, word in (("john hates mary", "hates"),
+                           ("susan likes mary", "susan")):
+        for attempt in (kept.chart, kept.parse):
+            with pytest.raises(ValueError,
+                               match="'%s' is a model word" % word):
+                attempt(sentence.split())
+    # a word the model never saw gets its unknown-word rules, in words or not
+    for sentence in ("sam likes mary", "john likes zoe"):
+        words = sentence.split()
+        assert kept.parse(words) == full.parse(words) is not None
+
+
+def test_oov_rules_are_numbered_after_the_entry_rows(toy_treebank,
+                                                     toy_model):
+    words = "sam likes zoe".split()
+    full, kept = _toy_parsers(toy_treebank, toy_model, words)
+    guesses = [(r.lhs, r.fragment, r.logprob.hex(), r.index)
+               for r in full.oov_rules(words)]
+    assert len(guesses) > 2
+    assert guesses == [(r.lhs, r.fragment, r.logprob.hex(), r.index)
+                       for r in kept.oov_rules(words)]
+    assert [index for *_, index in guesses] == list(range(
+        len(toy_model.entries), len(toy_model.entries) + len(guesses)))
