@@ -7,8 +7,9 @@ file of key=value lines; explicit command-line values win. `dop parse` and
 sentences they will parse, then build their parser from the model file's
 rows through one function, `_sentence_parser`: only the rows whose
 frontier words all occur in those sentences become rules (see
-`parser.SentenceParser`), and neither command holds a model while
-parsing.
+`parser.SentenceParser`), neither command holds a model while
+parsing, and each sentence's n-best search stops once its parse is
+decided (`--n-best` is a cap).
 
 Every command runs with Python's cycle collector off, set once in `main`
 and back as the caller had it when `main` returns. Trees, fragments,
@@ -170,7 +171,10 @@ def build_parser():
     p_parse.add_argument("--model", required=True)
     p_parse.add_argument("--input", default="-", help="one sentence per line")
     p_parse.add_argument("--output", default="-")
-    p_parse.add_argument("--stats", help="TSV: index, probability, derivations, seconds")
+    p_parse.add_argument(
+        "--stats", help="TSV: index, the tree's probability over the "
+        "derivations examined, the derivations examined before the tree "
+        "was decided (at most --n-best), seconds")
     p_parse.add_argument("--config")
     _add_parse_flags(p_parse)
 
@@ -354,11 +358,13 @@ def _parse_settings(options):
 
 def _sentence_parser(path, sentences, n_best, prune_ratio):
     """The parser of the model file at path for these sentences: only the
-    entry rows whose frontier words all occur in them become rules."""
+    entry rows whose frontier words all occur in them become rules, and
+    each sentence's n-best search stops once its parse is decided."""
     with open(path, encoding="utf8") as handle:
         return SentenceParser(handle, n_best=n_best, prune_ratio=prune_ratio,
                               words={word for words in sentences
-                                     for word in words})
+                                     for word in words},
+                              stop_early=True)
 
 
 def cmd_parse(args) -> int:

@@ -3,9 +3,12 @@
 Enumerates every derivation of a sentence by expanding the leftmost open
 substitution site with each matching model fragment, in exact rational
 arithmetic throughout. This is deliberately independent of the chart
-parser and imports nothing from it: trees are built by left-associative
-composition (`compose`, defined here) and probabilities multiply model
-fractions, so agreement between the two paths checks both.
+parser and imports nothing from it: each derivation's tree is built from
+its fragments' structures in one left-to-right pass, filling each open
+site with the next fragment (`_derived_tree`), and probabilities multiply
+model fractions, so agreement between the two paths checks both.
+`compose`, leftmost substitution of one fragment into another, is the
+same step taken once.
 """
 
 from dataclasses import dataclass
@@ -64,6 +67,31 @@ def compose(left, right):
     if any(isinstance(item, Site) for item in fragment.frontier):
         return fragment
     return result
+
+
+def _derived_tree(fragments) -> Tree:
+    """The tree of a derivation, its fragments in leftmost-substitution
+    order: one preorder walk over their structures, each open site taking
+    the next fragment's, so the work is linear in the tree's size."""
+    pending = iter(fragments)
+    root = next(pending).structure
+    # (label, children built, children left) of each node being built
+    stack = [(root.label, [], iter(root.children))]
+    while True:
+        label, built, rest = stack[-1]
+        for child in rest:
+            if isinstance(child, Site):
+                child = next(pending).structure
+            if isinstance(child, Tree):
+                stack.append((child.label, [], iter(child.children)))
+                break
+            built.append(child)
+        else:
+            stack.pop()
+            tree = Tree(label, built)
+            if not stack:
+                return tree
+            stack[-1][1].append(tree)
 
 
 @dataclass(frozen=True)
@@ -137,13 +165,8 @@ def enumerate_derivations(model: FragmentModel, sentence,
             fragment, chosen = chosen
             fragments.append(fragment)
         fragments = tuple(reversed(fragments))
-        tree = fragments[0]
-        for fragment in fragments[1:]:
-            tree = compose(tree, fragment)
-        if isinstance(tree, Fragment):
-            # a single already-closed fragment composes with nothing
-            tree = tree.structure
-        assert isinstance(tree, Tree) and tuple(tree.leaves()) == sentence
+        tree = _derived_tree(fragments)
+        assert tuple(tree.leaves()) == sentence
         bracketed = write_tree(tree)
         tree_sums[bracketed] = tree_sums.get(bracketed, Fraction(0)) + probability
         trees[bracketed] = tree

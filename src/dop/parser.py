@@ -22,6 +22,10 @@ successors are pushed inline, from the tails' derivation lists, with a
 call only where a tail must find a new derivation. Bracketed strings are
 formatted through a memo held by the chart, once per (rule form, site
 strings) combination, so derivations of one tree share one string.
+
+The search can stop as soon as no tree can overtake the leader among the
+n best derivations (see nbest_derivations): `dop parse` and `dop
+experiment` stop there, and SentenceParser.parse by default does not.
 """
 
 import math
@@ -604,7 +608,16 @@ def _realize(item, k, strings):
     return result
 
 
-def nbest_derivations(chart: Chart, n: int = 1000) -> list:
+# the drift check's tolerance, relative and absolute, between a realized
+# log probability and its search score
+_DRIFT = 1e-9
+# how far the leader's lead must clear the bound of an early stop,
+# relative to the leader's mass: far above the rounding of either sum
+_MARGIN = 1e-9
+
+
+def nbest_derivations(chart: Chart, n: int = 1000,
+                      stop_early: bool = False) -> list:
     """Up to n distinct derivations, best first; [] when there is no parse.
 
     The first derivation is the exact Viterbi best over the unpruned part
@@ -617,6 +630,15 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
     the memo of formatted strings on the chart (see Chart), so a second
     call on the same chart resumes the search, and every derivation of
     one tree carries the same bracketed string object.
+
+    With stop_early, the search ends at the first r derivations after
+    which no tree can overtake the leader among the n: the n - r still to
+    come score at most p, the top of the heap, so between them they add
+    at most (n - r) p (widened by the drift the check allows) to any one
+    tree. Once the leader's summed probability exceeds the runner-up's by
+    more than that, and by a margin relative to the leader's, the most
+    probable parse of these r derivations is that of the n. An exact tie
+    runs on to n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -633,6 +655,11 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
         if first is not None:
             heappush(heap, (first[0], index, 0))
     result = []
+    # with stop_early: each tree's summed probability over the derivations
+    # so far, relative to the first one's, and the two largest sums
+    masses = {}
+    leader = runner_up = 0.0
+    leading = None
     while heap:
         neg, index, k = heap[0]
         start_item = starts[index]
@@ -640,10 +667,11 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
         if realized is None:
             realized = _realize(start_item, k, chart.strings)
         logprob = _unscaled(realized[3])
-        if not math.isclose(logprob, -neg, rel_tol=1e-9, abs_tol=1e-9):
+        if not math.isclose(logprob, -neg, rel_tol=_DRIFT, abs_tol=_DRIFT):
             raise AssertionError(
                 "derivation probability drift: %r vs %r" % (logprob, -neg))
-        result.append(Derivation(logprob, realized[2], realized))
+        bracketed = realized[2]
+        result.append(Derivation(logprob, bracketed, realized))
         if len(result) == n:
             break
         following = _get_kth(start_item, k + 1)
@@ -651,6 +679,23 @@ def nbest_derivations(chart: Chart, n: int = 1000) -> list:
             heappop(heap)
         else:
             heapreplace(heap, (following[0], index, k + 1))
+        if stop_early and heap:
+            if leading is None:
+                best = logprob
+            mass = masses[bracketed] = (masses.get(bracketed, 0.0)
+                                        + math.exp(logprob - best))
+            if bracketed == leading:
+                leader = mass
+            elif mass > leader:
+                leading, leader, runner_up = bracketed, mass, leader
+            elif mass > runner_up:
+                runner_up = mass
+            # top <= 0, so 1 - top covers the drift check's max(-top, 1)
+            top = -heap[0][0]
+            bound = (n - len(result)) * math.exp(
+                top + _DRIFT * (1.0 - top) - best)
+            if leader - runner_up > bound + _MARGIN * leader:
+                break
     return result
 
 
@@ -705,10 +750,15 @@ class SentenceParser(ChartParser):
     a parser built with words=None. Besides the rules the parser keeps what
     oov_rules reads (the unknown-word model, root totals, reserved mass,
     whether it is smoothed, and the number of entry rows).
+
+    stop_early, when set, ends each sentence's n-best search once its most
+    probable parse is decided (see nbest_derivations): the same tree, from
+    up to n_best derivations. `dop parse` and `dop experiment` set it; by
+    default parse examines all n_best derivations, or every one there is.
     """
 
     def __init__(self, model, n_best: int = 1000, prune_ratio: float = 1e-5,
-                 words=None):
+                 words=None, stop_early: bool = False):
         if n_best < 1:
             raise ValueError("n_best must be >= 1")
         if isinstance(model, FragmentModel):
@@ -734,6 +784,7 @@ class SentenceParser(ChartParser):
         super().__init__(usable_rules(), header.start_labels,
                          priors=header.priors, prune_ratio=prune_ratio)
         self.n_best = n_best
+        self.stop_early = stop_early
         self.unknown_words = header.unknown_words
         self.root_totals = header.root_totals
         self.reserved_mass = header.reserved_mass
@@ -787,7 +838,7 @@ class SentenceParser(ChartParser):
 
     def derivations(self, words) -> list:
         chart = self.chart(words, extra_rules=self.oov_rules(words))
-        return nbest_derivations(chart, self.n_best)
+        return nbest_derivations(chart, self.n_best, self.stop_early)
 
     def parse(self, words) -> ParseResult | None:
         derivations = self.derivations(words)

@@ -152,3 +152,28 @@ def assert_parser_for_words_agrees(full, model, words, **settings):
     assert _nbest_keys(kept, words) == _nbest_keys(full, words)
     assert kept.parse(words) == full.parse(words)
     return len(kept.rules)
+
+
+def assert_stops_early_with_the_same_parses(path, sentences, n_best,
+                                            prune_ratio):
+    """The commands' parser of the model file at path, which stops each
+    n-best search once the parse is decided, against SentenceParser.parse
+    of the same file, which examines every derivation up to n_best: the
+    same tree for each sentence, from no more derivations. Returns the
+    derivations each examined, in all, as (commands', parse's)."""
+    from dop import SentenceParser
+    from dop.cli import _sentence_parser
+    early = _sentence_parser(path, sentences, n_best, prune_ratio)
+    with open(path, encoding="utf8") as handle:
+        every = SentenceParser(handle, n_best=n_best, prune_ratio=prune_ratio)
+    examined = [0, 0]
+    for words in sentences:
+        stopped, full = early.parse(words), every.parse(words)
+        assert (stopped is None) == (full is None), words
+        if full is None:
+            continue
+        assert stopped.bracketed == full.bracketed, words
+        assert stopped.derivations_examined <= full.derivations_examined
+        examined[0] += stopped.derivations_examined
+        examined[1] += full.derivations_examined
+    return tuple(examined)

@@ -331,12 +331,13 @@ def test_parse_workers(toy_paths, tmp_path):
 
 def test_serial_parse_releases_model(toy_paths, monkeypatch):
     # the parser holds no reference to its model, and a serial parse holds
-    # none to the parser once it returns or fails
+    # none to the parser once it returns or fails; the parsers stop early,
+    # as the commands' do
     _, model_path = toy_paths
     sentences = [["john", "likes", "mary"]]
     model = load_model(model_path)
     model_alive = weakref.ref(model)
-    parser = SentenceParser(model, n_best=100)
+    parser = SentenceParser(model, n_best=100, stop_early=True)
     del model
     assert model_alive() is None
     alive = weakref.ref(parser)
@@ -349,7 +350,8 @@ def test_serial_parse_releases_model(toy_paths, monkeypatch):
         raise AssertionError("derivation probability drift")
 
     monkeypatch.setattr(dop.parser.SentenceParser, "parse", failing_parse)
-    parser = SentenceParser(load_model(model_path), n_best=100)
+    parser = SentenceParser(load_model(model_path), n_best=100,
+                            stop_early=True)
     alive = weakref.ref(parser)
     with pytest.raises(AssertionError, match="drift"):
         _parse_corpus(parser, sentences, 1)
@@ -610,7 +612,7 @@ def _experiment_argv(tmp_path):
 
 def test_experiment_reports_data_error_as_failed_point(tmp_path, capsys,
                                                        monkeypatch):
-    def no_grammar(chart, n):
+    def no_grammar(chart, n, stop_early=False):
         raise GrammarError("no usable grammar")
 
     monkeypatch.setattr(dop.parser, "nbest_derivations", no_grammar)
@@ -651,7 +653,7 @@ def test_experiment_zero_n_best_is_data_error(tmp_path, capsys):
 
 
 def test_experiment_propagates_internal_errors(tmp_path, capsys, monkeypatch):
-    def drift(chart, n):
+    def drift(chart, n, stop_early=False):
         raise AssertionError("derivation probability drift")
 
     monkeypatch.setattr(dop.parser, "nbest_derivations", drift)

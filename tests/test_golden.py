@@ -7,8 +7,11 @@ fragment-collection, bracket-writing and parse-entry paths were removed,
 the chart hash before the binary step stopped visiting dotted right items,
 the sampled-fragment hash before the sampler moved to per-tree height lists,
 the n-best hash before derivations became their heap entries and the goal
-item went. Any change to model bytes, parse choices, probabilities, chart
-contents or derivation order shows up here.
+item went. The stats hash was recorded when `dop parse` began to stop each
+n-best search once the parse is decided: its probability and derivation
+columns are those of the derivations examined. Any change to model bytes,
+parse choices, probabilities, chart contents or derivation order shows up
+here.
 """
 
 import hashlib
@@ -20,12 +23,14 @@ from dop.fragments import dump_fragments, sample_fragments
 from dop.modelio import load_model
 from dop.parser import SentenceParser
 from dop.tree import write_treebank
-from conftest import assert_parser_for_words_agrees, synthetic_treebank
+from conftest import (assert_parser_for_words_agrees,
+                      assert_stops_early_with_the_same_parses,
+                      synthetic_treebank)
 
 PARSE_SHA256 = (
     "5fcfbad8067b62356ddef2d9c2ccfb2e7fe91510252e83216b70d52c2c5aae84")
 STATS_SHA256 = (
-    "c1a922962df745cceb210298423dad18a96b3a63fe961dc7bca83963c33e0c0c")
+    "d1500f42d275cb870ba63858d328020ed7e68c607608d1eb9a796108f1f2daec")
 CHART_SHA256 = (
     "2c50f05e2a9d07dcfc5d5c1716cf2cc0d60d77a164871ba83f6020401ffdba64")
 NBEST_SHA256 = (
@@ -165,3 +170,17 @@ def test_golden_parser_for_words_agrees(golden_model):
     kept = [assert_parser_for_words_agrees(full, loaded, line.split())
             for line in sents.read_text().splitlines()]
     assert max(kept) < len(full.rules)
+
+
+@pytest.mark.parametrize("prune_ratio", [1e-5, 1e-300])
+def test_golden_early_stop_keeps_the_parses(golden_model, prune_ratio):
+    # the commands stop each n-best search once the parse is decided: the
+    # trees parse prints, from fewer derivations wherever n leaves room
+    model, sents = golden_model
+    sentences = [line.split() for line in sents.read_text().splitlines()]
+    examined = {n: assert_stops_early_with_the_same_parses(
+                    str(model), sentences, n, prune_ratio)
+                for n in (1, 7, 1000)}
+    assert examined[1] == (30, 30)
+    assert examined[7][0] < examined[7][1]
+    assert examined[1000][0] < examined[1000][1] == 12033

@@ -16,11 +16,13 @@ from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
                  extract_treebank, good_turing_adjust, most_probable_parse,
                  nbest_derivations, read_treebank, read_trees,
                  train_unknown_model, write_tree)
+from dop.cli import _sentence_parser
 from dop.modelio import model_from_text, model_to_text
 from dop.parser import Derivation, _log, _scaled, _unscaled
 from dop.tree import Treebank
 from conftest import (TOY_HEAD_RULES, assert_parser_for_words_agrees,
-                      random_tree, unary_chain_model)
+                      assert_stops_early_with_the_same_parses, random_tree,
+                      unary_chain_model)
 
 
 def frag(text):
@@ -775,6 +777,129 @@ def test_parser_for_words_agrees_on_random_banks():
                     full, model, sentence, prune_ratio=1e-300)
                 total += len(full.rules)
     assert kept < total
+
+
+# ------------------------------------------------------------- early stop
+
+def test_early_stop_keeps_the_parses_on_random_banks(tmp_path):
+    # the banks of the oracle differential, parsed by the commands' parser
+    # and by SentenceParser.parse
+    rng = random.Random(20001)
+    banks = 0
+    examined = {n: [0, 0] for n in (1, 7, 1000)}    # (commands', parse's)
+    path = tmp_path / "bank.dopmodel"
+    while banks < 25:
+        bank = Treebank(tuple(random_tree(rng, max_internal=7, max_depth=3)
+                              for _ in range(rng.randint(1, 3))))
+        model = build_model(extract_treebank(bank), RestrictionSet(),
+                            TOY_HEAD_RULES,
+                            start_labels={t.label for t in bank.trees})
+        if SentenceParser(model).unary_cycle is not None:
+            continue
+        banks += 1
+        path.write_text(model_to_text(model))
+        sentences = []
+        for tree in bank.trees:
+            words = tree.leaves()
+            sentences += [words, rng.sample(words, len(words))]
+        for n, total in examined.items():
+            for prune_ratio in (1e-5, 1e-300):
+                early, every = assert_stops_early_with_the_same_parses(
+                    str(path), sentences, n, prune_ratio)
+                total[0] += early
+                total[1] += every
+    assert examined[1][0] == examined[1][1] > 0
+    for n in (7, 1000):
+        assert examined[n][0] < examined[n][1]
+
+
+def _stopping_parser(tmp_path, rows, n_best):
+    """The commands' parser for "x y" of a model whose S rows are rows,
+    (key, probability) pairs, and whose one D row is (D y) at 1."""
+    path = tmp_path / "hand.dopmodel"
+    path.write_text(
+        "dopmodel\t1\n"
+        "restriction\tmax_depth=-\tmax_frontier_words=-\t"
+        "max_unlex_depth=-\tmax_nonheadwords=-\tsample_per_depth=-\n"
+        "smoothing\toff\nstart\tS\n"
+        "root\tD\t1\t1\t0\nroot\tS\t%d\t%d\t0\nentries\n1\t1\t(D y)\n"
+        % (len(rows), len(rows))
+        + "".join("1\t%s\t%s\n" % (probability, key)
+                  for key, probability in sorted(rows)))
+    return _sentence_parser(str(path), [["x", "y"]], n_best, 1e-300)
+
+
+_TREE_A = "(S (A x) (B y))"
+_TREE_C = "(S (C x) (D y))"
+# the row of a third tree, far below the others: the search must decide
+# before it
+_FAR_BELOW = ("(S (E x) (F y))", "1/1" + "0" * 30)
+
+
+def _parse_both(parser):
+    # the commands' parse and the exhaustive one, over every derivation
+    words = ["x", "y"]
+    every = nbest_derivations(parser.chart(words), parser.n_best)
+    return parser.parse(words), most_probable_parse(every)
+
+
+def test_early_stop_waits_for_the_derivation_that_decides(tmp_path):
+    # A has one derivation at .4, C two at .3 each: C wins only once its
+    # second derivation is in
+    rows = [(_TREE_A, "4/10"), (_TREE_C, "3/10"), ("(S (C x) (D))", "3/10"),
+            _FAR_BELOW]
+    for n_best, examined, tree in ((2, 1, _TREE_A), (3, 3, _TREE_C),
+                                   (1000, 3, _TREE_C)):
+        stopped, full = _parse_both(_stopping_parser(tmp_path, rows, n_best))
+        assert stopped.bracketed == full.bracketed == tree
+        # after one derivation, .4 leads by more than the one .3 to come
+        # when n is 2, and by less than the two to come when n is 3; with
+        # n at 1000, C's .6 against A's .4 is decided before E
+        assert stopped.derivations_examined == examined
+        assert full.derivations_examined == min(n_best, 4)
+
+
+@pytest.mark.parametrize("n_best", [2, 3, 1000])
+def test_early_stop_runs_on_through_an_exact_tie(tmp_path, n_best):
+    # A and C have one derivation each, at the same probability: no lead,
+    # so the search runs to n (or to its last derivation) and the
+    # exhaustive tie break picks A
+    rows = [(_TREE_A, "3/10"), (_TREE_C, "3/10"), _FAR_BELOW]
+    stopped, full = _parse_both(_stopping_parser(tmp_path, rows, n_best))
+    assert stopped == full
+    assert stopped.bracketed == _TREE_A
+    assert stopped.derivations_examined == min(n_best, 3)
+
+
+def test_early_stop_bound_is_widened_by_the_drift_tolerance(tmp_path):
+    # near log -700, the tolerance of the drift check is 7e-7 of a
+    # probability: A at p leads C's first derivation, at x p with
+    # x = .5 - 5e-8, by 1e-7 p more than the bound on the one to come, but
+    # by less than the bound widened, so the search runs on to n
+    p = 10 ** 304
+    c = "49999995/%d" % (p * 10 ** 8)
+    rows = [(_TREE_A, "1/%d" % p), (_TREE_C, c), ("(S (C x) (D))", c)]
+    stopped, full = _parse_both(_stopping_parser(tmp_path, rows, 3))
+    assert stopped == full
+    assert stopped.bracketed == _TREE_A
+    assert stopped.derivations_examined == 3
+
+
+def test_early_stop_needs_a_lead_beyond_rounding(tmp_path):
+    # A's one derivation at p against C's two at p / 2: equal sums, which
+    # rounding may part by an ulp or so. No such lead stops the search
+    # short of E, however far below E falls.
+    parted = 0
+    for denominator in range(3, 40):
+        rows = [(_TREE_A, "1/%d" % denominator),
+                (_TREE_C, "1/%d" % (2 * denominator)),
+                ("(S (C x) (D))", "1/%d" % (2 * denominator)), _FAR_BELOW]
+        stopped, full = _parse_both(_stopping_parser(tmp_path, rows, 1000))
+        assert stopped == full
+        assert stopped.derivations_examined == 4
+        first, second = (tally[2] for tally in full.tree_tallies[:2])
+        parted += first != second
+    assert parted > 0
 
 
 def _toy_parsers(toy_treebank, toy_model, words):
