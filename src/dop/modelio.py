@@ -23,8 +23,12 @@ Keys are read back in canonical form: a key written with other spacing
 missing, a number that does not parse, a zero denominator, a probability
 outside (0, 1], an entry not strictly after the one before it in (root,
 canonical key) order, such as a repeated one) is reported with its line
-number. Head rules are not stored: they decide which fragments pass the
-restriction at training time, and a loaded model has no use for them.
+number. Once the entry rows are read, each root's rows are checked
+against its root row, their number and their count sum: a mismatch is
+reported on the root row's line, and a root with entry rows but no root
+row on its first entry row's line. Head rules are not stored: they
+decide which fragments pass the restriction at training time, and a
+loaded model has no use for them.
 `read_model` is the file's one reader: `model_from_text` makes a
 `ModelEntry` of each entry row, and `parser.SentenceParser` a rule.
 """
@@ -124,8 +128,8 @@ def read_model(text, probability=_probability):
 
     header is the model without entries. rows yields (fragment, count,
     probability(text)) per entry row, in file order, as it reads them; each
-    distinct count and probability text is read once, and the per-root
-    count sums are checked once rows is used up.
+    distinct count and probability text is read once, and each root's
+    row count and count sum are checked once rows is used up.
     """
     lines = enumerate(text.splitlines() if isinstance(text, str) else text,
                       start=1)
@@ -137,6 +141,7 @@ def read_model(text, probability=_probability):
     priors = {}
     root_totals = {}
     reserved = {}
+    roots = {}                # label -> (root row's line, entry count)
     unk_threshold = None
     unk_stats = defaultdict(Counter)
     for lineno, line in lines:
@@ -169,8 +174,13 @@ def read_model(text, probability=_probability):
             elif tag == "prior":
                 priors[fields[1]] = _fraction(fields[2])
             elif tag == "root":
+                entries = int(fields[2])
+                if entries < 1:
+                    raise ValueError("root %s has %d entries, not at least 1"
+                                     % (fields[1], entries))
                 root_totals[fields[1]] = _parse_num(fields[3])
                 reserved[fields[1]] = _fraction(fields[4])
+                roots[fields[1]] = (lineno, entries)
             elif tag == "unk":
                 unk_threshold = int(fields[1])
             elif tag == "unkstat":
@@ -190,16 +200,18 @@ def read_model(text, probability=_probability):
         start_labels=frozenset(start), priors=priors, smoothed=smoothed,
         reserved_mass={k: v for k, v in reserved.items() if v},
         unknown_words=unknown)
-    return header, _entry_rows(lines, root_totals, probability)
+    return header, _entry_rows(lines, roots, root_totals, probability)
 
 
-def _entry_rows(lines, root_totals, probability):
+def _entry_rows(lines, roots, root_totals, probability):
     # A model has few distinct counts and probabilities (745 probabilities
     # among 473989 entries), so each distinct text is read once.
     pieces = KeyPieces()       # the key pieces read so far
     read_counts = {}           # count text -> int or Fraction
     read_probabilities = {}    # probability text -> probability(text)
-    sums = defaultdict(int)    # root -> its count sum, exact for Fractions
+    # root -> [its first row's line, its rows, their count sum, exact for
+    # Fractions]; a root's rows are contiguous, in (root, key) order
+    tallies = {}
     root = key = ""            # the previous row's; below any real one
     for lineno, line in lines:
         row = line.rstrip("\n")
@@ -224,14 +236,33 @@ def _entry_rows(lines, root_totals, probability):
             raise ModelFormatError(
                 "line %d: entry %s does not come after %s in (root, key) "
                 "order" % (lineno, fragment.key, key))
+        if label != root:
+            tally = tallies[label] = [lineno, 0, 0]
         root, key = label, fragment.key
-        sums[root] += number
+        tally[1] += 1
+        tally[2] += number
         yield fragment, number, value
-    for root, total in sums.items():
-        if root_totals.get(root, 0) != total:
-            raise ModelFormatError(
-                "root %s: entry counts sum to %s, header says %s"
-                % (root, total, root_totals.get(root)))
+    # each root's rows against its root row; of several problems, the one
+    # on the first line is reported
+    problems = []
+    for label, (first, rows, total) in tallies.items():
+        if label not in roots:
+            problems.append((first, "entry rows of root %s have no root row"
+                             % label))
+            continue
+        lineno, entries = roots[label]
+        if rows != entries:
+            problems.append((lineno, "root %s has %d entry rows, its row "
+                             "says %d" % (label, rows, entries)))
+        elif total != root_totals[label]:
+            problems.append((lineno, "root %s: entry counts sum to %s, its "
+                             "row says %s" % (label, total, root_totals[label])))
+    for label, (lineno, entries) in roots.items():
+        if label not in tallies:
+            problems.append((lineno, "root %s has no entry rows, its row "
+                             "says %d" % (label, entries)))
+    if problems:
+        raise ModelFormatError("line %d: %s" % min(problems))
 
 
 def model_from_text(text) -> FragmentModel:

@@ -23,9 +23,14 @@ call only where a tail must find a new derivation. Bracketed strings are
 formatted through a memo held by the chart, once per (rule form, site
 strings) combination, so derivations of one tree share one string.
 
-The search can stop as soon as no tree can overtake the leader among the
-n best derivations (see nbest_derivations): `dop parse` and `dop
-experiment` stop there, and SentenceParser.parse by default does not.
+An item's first visit also sums the probabilities of all its
+derivations, relative to its best (its inside sum), from its tails' sums,
+on the edges it walks anyway; the start items' sums give the forest's
+total. The search can stop as soon as no tree can overtake the leader
+among the n best derivations, judged both by what the derivations still to
+come among the n can add and by the forest's mass not yet examined (see
+nbest_derivations): `dop parse` and `dop experiment` stop there, and
+SentenceParser.parse by default does not.
 """
 
 import math
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
+from math import exp
 
 from .fragments import _SITE, Fragment
 from .model import FragmentModel
@@ -161,10 +167,16 @@ class ChartItem:
     entries, and None once the item has no more derivations (and before
     the first request, while derivs is None); the successors of the last
     entry of derivs enter cand on the next request; reals maps k to the
-    realization of derivs[k] (see _realize).
+    realization of derivs[k] (see _realize). mass, set on the first
+    request, is the item's inside sum: the summed probability of all its
+    derivations over that of its best, as the search scores them. The
+    first request visits the tails first, so their sums are there to
+    combine. The best score is inside, unless inside is stale (ROADMAP
+    item 4) and an edge scores higher.
     """
 
-    __slots__ = ("sym", "span", "inside", "edges", "derivs", "cand", "reals")
+    __slots__ = ("sym", "span", "inside", "edges", "derivs", "cand", "reals",
+                 "mass")
 
     def __init__(self, sym, span):
         self.sym = sym
@@ -218,7 +230,12 @@ class ChartParser:
     rules may be an iterator: it is listed only once the settings pass.
     A cell is filled in three phases: binary steps make its prefix items,
     one completion queue makes its complete items, and pruning drops the
-    weak ones. Every edge is appended once, so none is deduplicated.
+    weak ones; a cell the binary steps leave empty stays empty, and skips
+    the other two. Every edge is appended once, so none is deduplicated.
+    The binary steps of a span (start, end) read the finished spans
+    through two indexes: per start, the spans from it that hold heads, by
+    end, and per end, the spans to it that hold tails, by start. So only
+    the mid points after which some item can start a step are visited.
     """
 
     def __init__(self, rules, start_labels, priors=None, prune_ratio=1e-5):
@@ -282,14 +299,16 @@ class ChartParser:
 
         n = len(sentence)
         cells = {}
-        # per span, once its cell is pruned: the items that can start a
-        # binary step, with their trie nodes, and the complete items that
-        # can end one (see _partners)
-        heads = {}
-        tails = {}
+        # the partners of the finished spans (see _partners): per start,
+        # (end, heads) for each span from it that holds heads, in the order
+        # the spans finish, so by end; per end, {start: tails} for each
+        # span to it that holds tails
+        heads_from = [[] for _ in range(n)]
+        tails_to = [{} for _ in range(n + 1)]
         for width in range(1, n + 1):
             for start in range(0, n - width + 1):
-                span = (start, start + width)
+                end = start + width
+                span = (start, end)
                 cell = {}
                 cells[span] = cell
                 if width == 1:
@@ -305,10 +324,17 @@ class ChartParser:
                         item.edges.append((rule, (word_item,), rule.logprob))
                         item.inside = max(item.inside, rule.logprob)
                 else:
-                    self._binary_phase(heads, tails, span, cell)
+                    self._binary_phase(heads_from[start], tails_to[end],
+                                       span, cell)
+                    if not cell:
+                        continue
                 self._complete(cell, span)
                 self._prune(cell)
-                heads[span], tails[span] = self._partners(cell)
+                heads, tails = self._partners(cell)
+                if heads:
+                    heads_from[start].append((end, heads))
+                if tails:
+                    tails_to[end][start] = tails
 
         start_items = []
         if n:
@@ -344,13 +370,14 @@ class ChartParser:
                 tails.append((steps, item))
         return heads, tails
 
-    def _binary_phase(self, heads, tails, span, cell):
-        start, end = span
-        for mid in range(start + 1, end):
-            right = tails[(mid, end)]
-            if not right:
+    def _binary_phase(self, heads_from, tails_to, span, cell):
+        # heads_from: (mid, heads) of the finished spans (start, mid), by
+        # mid; tails_to: {mid: tails} of the finished spans (mid, end)
+        for mid, heads in heads_from:
+            right = tails_to.get(mid)
+            if right is None:
                 continue
-            for litem, node in heads[(start, mid)]:
+            for litem, node in heads:
                 for steps, ritem in right:
                     nxt = steps.get(node)
                     if nxt is None:
@@ -486,9 +513,14 @@ def _get_kth(item, k):
         if item.sym[0] == "w":
             # log 1, negated: a rule's w - -0.0 is w + 0.0, bit for bit
             derivs.append((-0.0,))
+            item.mass = 1.0
             return derivs[0] if k == 0 else None
         item.reals = {}
         cand = []
+        # the inside sum, relative to the best score: inside, or a higher
+        # edge score where inside is stale (see ChartItem)
+        inside = item.inside
+        mass = 0.0
         if item.sym[0] == "p":
             for edge_idx, (_, (left, right), weight) in enumerate(item.edges):
                 first = left.derivs
@@ -498,15 +530,25 @@ def _get_kth(item, k):
                 second = right.derivs
                 second = second[0] if second else _get_kth(right, 0)
                 if second is not None:
-                    cand.append((-((weight - first[0]) - second[0]),
-                                 edge_idx, 0, 0))
+                    score = (weight - first[0]) - second[0]
+                    cand.append((-score, edge_idx, 0, 0))
+                    if score > inside:
+                        mass *= exp(inside - score)
+                        inside = score
+                    mass += exp(score - inside) * left.mass * right.mass
         else:
             for edge_idx, (_, (tail,), weight) in enumerate(item.edges):
                 first = tail.derivs
                 first = first[0] if first else _get_kth(tail, 0)
                 if first is not None:
-                    cand.append((-(weight - first[0]), edge_idx, 0))
+                    score = weight - first[0]
+                    cand.append((-score, edge_idx, 0))
+                    if score > inside:
+                        mass *= exp(inside - score)
+                        inside = score
+                    mass += exp(score - inside) * tail.mass
         heapify(cand)
+        item.mass = mass
         item.cand = cand
     elif k < len(derivs):
         return derivs[k]
@@ -612,8 +654,14 @@ def _realize(item, k, strings):
 # log probability and its search score
 _DRIFT = 1e-9
 # how far the leader's lead must clear the bound of an early stop,
-# relative to the leader's mass: far above the rounding of either sum
+# relative to the leader's mass, and how far the bound on the mass still
+# to come is raised, relative to the forest's: far above the rounding of
+# any of these sums
 _MARGIN = 1e-9
+# a derivation more than this below the best, in log probability, adds
+# less than 1e-323 of the best's mass, even raised by the drift check's
+# tolerance
+_FAR = 745.0
 
 
 def nbest_derivations(chart: Chart, n: int = 1000,
@@ -632,11 +680,22 @@ def nbest_derivations(chart: Chart, n: int = 1000,
     one tree carries the same bracketed string object.
 
     With stop_early, the search ends at the first r derivations after
-    which no tree can overtake the leader among the n: the n - r still to
-    come score at most p, the top of the heap, so between them they add
-    at most (n - r) p (widened by the drift the check allows) to any one
-    tree. Once the leader's summed probability exceeds the runner-up's by
-    more than that, and by a margin relative to the leader's, the most
+    which no tree can overtake the leader among the n. Two bounds hold on
+    what the derivations still to come among the n add to any one tree,
+    and the smaller is taken:
+    - the n - r still to come score at most p, the top of the heap, so
+      between them they add at most (n - r) p, widened by the drift the
+      check allows;
+    - all the derivations not yet examined hold T - S, where T is the
+      forest's total over all its derivations (from the start items'
+      inside sums, see ChartItem) and S the summed probability of the r
+      examined. T is widened by the drift the check allows, once for the
+      derivations to come and once for those in S (with all scores within
+      _FAR of the best; the rest add less than a float holds), and raised
+      by a margin of 1e-9 of itself, far above the rounding of T and S.
+      Where T is infinite or NaN, the first bound is used alone.
+    Once the leader's summed probability exceeds the runner-up's by more
+    than the bound, and by a margin relative to the leader's, the most
     probable parse of these r derivations is that of the n. An exact tie
     runs on to n.
     """
@@ -656,10 +715,22 @@ def nbest_derivations(chart: Chart, n: int = 1000,
             heappush(heap, (first[0], index, 0))
     result = []
     # with stop_early: each tree's summed probability over the derivations
-    # so far, relative to the first one's, and the two largest sums
+    # so far, relative to the first one's, the two largest sums, and the
+    # sum over all trees
     masses = {}
-    leader = runner_up = 0.0
+    leader = runner_up = seen = 0.0
     leading = None
+    total = None
+    if stop_early and heap:
+        # T, the forest's total over all its derivations, relative to the
+        # best search score (each derivs[0][0] is a negated best score)
+        first_neg = heap[0][0]
+        total = 0.0
+        for item in starts:
+            if item.derivs:
+                total += exp(first_neg - item.derivs[0][0]) * item.mass
+        if not math.isfinite(total):
+            total = None
     while heap:
         neg, index, k = heap[0]
         start_item = starts[index]
@@ -682,8 +753,14 @@ def nbest_derivations(chart: Chart, n: int = 1000,
         if stop_early and heap:
             if leading is None:
                 best = logprob
-            mass = masses[bracketed] = (masses.get(bracketed, 0.0)
-                                        + math.exp(logprob - best))
+                if total is not None:
+                    # T relative to best, widened by the drift twice, plus
+                    # the margin
+                    total = (total * exp(2.0 * _DRIFT * (_FAR - best))
+                             + _MARGIN * total)
+            share = exp(logprob - best)
+            seen += share
+            mass = masses[bracketed] = masses.get(bracketed, 0.0) + share
             if bracketed == leading:
                 leader = mass
             elif mass > leader:
@@ -692,8 +769,10 @@ def nbest_derivations(chart: Chart, n: int = 1000,
                 runner_up = mass
             # top <= 0, so 1 - top covers the drift check's max(-top, 1)
             top = -heap[0][0]
-            bound = (n - len(result)) * math.exp(
+            bound = (n - len(result)) * exp(
                 top + _DRIFT * (1.0 - top) - best)
+            if total is not None:
+                bound = min(bound, total - seen)
             if leader - runner_up > bound + _MARGIN * leader:
                 break
     return result

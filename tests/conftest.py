@@ -120,6 +120,30 @@ def synthetic_treebank(n_trees, seed, max_words=9):
                           for _ in range(n_trees)))
 
 
+def write_bank(path, n_trees, seed, max_words=9):
+    from dop.tree import write_treebank
+    path.write_text(write_treebank(
+        synthetic_treebank(n_trees, seed=seed, max_words=max_words)))
+    return path
+
+
+@pytest.fixture(scope="session")
+def golden_model(tmp_path_factory):
+    """(model, sentences) paths of the golden tests, trained once for the
+    tests that share them."""
+    from dop.cli import main
+    tmp_path = tmp_path_factory.mktemp("golden")
+    train = write_bank(tmp_path / "train.mrg", 80, seed=5)
+    model = tmp_path / "m.dopmodel"
+    assert main(["train", "--train", str(train), "--model", str(model),
+                 "--max-depth", "4", "--sample-per-depth", "400",
+                 "--seed", "3"]) == 0
+    sents = tmp_path / "sents.txt"
+    sents.write_text("".join(" ".join(tree.leaves()) + "\n" for tree in
+                             synthetic_treebank(30, seed=17).trees))
+    return model, sents
+
+
 def unary_chain_model(depth):
     """(key, model text) of a one-entry model: a depth-level chain over w."""
     key = "".join("(X%d " % i for i in range(depth)) + "w" + ")" * depth

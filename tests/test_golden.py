@@ -8,10 +8,10 @@ the chart hash before the binary step stopped visiting dotted right items,
 the sampled-fragment hash before the sampler moved to per-tree height lists,
 the n-best hash before derivations became their heap entries and the goal
 item went. The stats hash was recorded when `dop parse` began to stop each
-n-best search once the parse is decided: its probability and derivation
-columns are those of the derivations examined. Any change to model bytes,
-parse choices, probabilities, chart contents or derivation order shows up
-here.
+n-best search also on the forest's mass still to come: its probability and
+derivation columns are those of the derivations examined. Any change to
+model bytes, parse choices, probabilities, chart contents or derivation
+order shows up here.
 """
 
 import hashlib
@@ -22,15 +22,14 @@ from dop.cli import main
 from dop.fragments import dump_fragments, sample_fragments
 from dop.modelio import load_model
 from dop.parser import SentenceParser
-from dop.tree import write_treebank
 from conftest import (assert_parser_for_words_agrees,
                       assert_stops_early_with_the_same_parses,
-                      synthetic_treebank)
+                      synthetic_treebank, write_bank)
 
 PARSE_SHA256 = (
     "5fcfbad8067b62356ddef2d9c2ccfb2e7fe91510252e83216b70d52c2c5aae84")
 STATS_SHA256 = (
-    "d1500f42d275cb870ba63858d328020ed7e68c607608d1eb9a796108f1f2daec")
+    "254b57ab95f170767e57c9587293ca997373eccd2109047133ddcd3c3b687ae3")
 CHART_SHA256 = (
     "2c50f05e2a9d07dcfc5d5c1716cf2cc0d60d77a164871ba83f6020401ffdba64")
 NBEST_SHA256 = (
@@ -55,27 +54,6 @@ EXPERIMENT_MODEL_SHA256 = {
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf8")).hexdigest()
-
-
-def _write_bank(path, n_trees, seed, max_words=9):
-    path.write_text(write_treebank(
-        synthetic_treebank(n_trees, seed=seed, max_words=max_words)))
-    return path
-
-
-@pytest.fixture(scope="module")
-def golden_model(tmp_path_factory):
-    """(model, sentences) paths, trained once for the tests that share them."""
-    tmp_path = tmp_path_factory.mktemp("golden")
-    train = _write_bank(tmp_path / "train.mrg", 80, seed=5)
-    model = tmp_path / "m.dopmodel"
-    assert main(["train", "--train", str(train), "--model", str(model),
-                 "--max-depth", "4", "--sample-per-depth", "400",
-                 "--seed", "3"]) == 0
-    sents = tmp_path / "sents.txt"
-    sents.write_text("".join(" ".join(tree.leaves()) + "\n" for tree in
-                             synthetic_treebank(30, seed=17).trees))
-    return model, sents
 
 
 def test_golden_parse_output(golden_model, tmp_path, capsys):
@@ -136,7 +114,7 @@ def test_golden_sampled_fragments():
 
 
 def test_golden_exhaustive_smoothed_model(tmp_path, capsys):
-    train = _write_bank(tmp_path / "train.mrg", 30, seed=11, max_words=7)
+    train = write_bank(tmp_path / "train.mrg", 30, seed=11, max_words=7)
     model = tmp_path / "m.dopmodel"
     assert main(["train", "--train", str(train), "--model", str(model),
                  "--sample-per-depth", "none", "--smoothing", "on"]) == 0
@@ -144,8 +122,8 @@ def test_golden_exhaustive_smoothed_model(tmp_path, capsys):
 
 
 def test_golden_experiment(tmp_path, capsys):
-    train = _write_bank(tmp_path / "train.mrg", 60, seed=21, max_words=12)
-    test = _write_bank(tmp_path / "test.mrg", 15, seed=23, max_words=12)
+    train = write_bank(tmp_path / "train.mrg", 60, seed=21, max_words=12)
+    test = write_bank(tmp_path / "test.mrg", 15, seed=23, max_words=12)
     out = tmp_path / "exp"
     assert main(["experiment", "--train", str(train), "--test", str(test),
                  "--sweep", "depth", "--values", "1,2,3",

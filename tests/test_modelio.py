@@ -122,8 +122,58 @@ def test_rejects_inconsistent_totals(toy_model):
     text = model_to_text(toy_model)
     assert "root\tNP\t4\t4\t0" in text
     broken = text.replace("root\tNP\t4\t4\t0", "root\tNP\t4\t5\t0")
-    with pytest.raises(ModelFormatError):
+    lineno = broken.split("\n").index("root\tNP\t4\t5\t0") + 1
+    with pytest.raises(ModelFormatError, match="^line %d: root NP: entry "
+                       "counts sum to 4, its row says 5$" % lineno):
         model_from_text(broken)
+
+
+def _replace(old, new):
+    def change(lines):
+        lines[lines.index(old)] = new
+        return new
+    return change
+
+
+def _add_root_row(lines):
+    lines.insert(lines.index("entries"), "root\tW\t1\t1\t0")
+    return "root\tW\t1\t1\t0"
+
+
+def _drop_root_row(lines):
+    lines.remove("root\tV\t2\t2\t0")
+    return "1\t1/2\t(V hates)"
+
+
+@pytest.mark.parametrize("change, message", [
+    (_replace("root\tNP\t4\t4\t0", "root\tNP\t5\t4\t0"),
+     "root NP has 4 entry rows, its row says 5"),
+    (_replace("root\tVP\t7\t8\t0", "root\tVP\t6\t8\t0"),
+     "root VP has 7 entry rows, its row says 6"),
+    (_replace("root\tS\t18\t20\t0", "root\tS\t18\t19\t0"),
+     "root S: entry counts sum to 20, its row says 19"),
+    (_add_root_row, "root W has no entry rows, its row says 1"),
+    (_drop_root_row, "entry rows of root V have no root row"),
+], ids=["more-rows", "fewer-rows", "sum", "root-row-without-rows",
+        "rows-without-root-row"])
+def test_root_rows_must_agree_with_their_entry_rows(tmp_path, toy_model,
+                                                    capsys, change, message):
+    # each problem is reported on the root's root row, or on its first
+    # entry row when it has no root row
+    from dop.cli import main
+    lines = model_to_text(toy_model).split("\n")
+    lineno = lines.index(change(lines)) + 1
+    text = "\n".join(lines)
+    with pytest.raises(ModelFormatError,
+                       match="^line %d: %s$" % (lineno, message)):
+        model_from_text(text)
+    path = tmp_path / "bad.dopmodel"
+    path.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    err = capsys.readouterr().err
+    assert err == "dop parse: line %d: %s\n" % (lineno, message)
 
 
 def _corrupt_first_entry(text):
@@ -182,12 +232,15 @@ def _entry_probability(probability):
     ("unk\t", lambda line: "unk\tmany"),
     ("unkstat\t", lambda line: line + "\t1"),
     ("root\t", lambda line: line[:-1] + "1/0"),
+    ("root\t", lambda line: line.replace("\t4\t", "\tbanana\t", 1)),
+    ("root\t", lambda line: line.replace("\t4\t", "\t0\t", 1)),
 ], ids=["zero-denominator", "zero-probability", "probability-above-1",
         "prior-missing-field", "root-missing-fields",
         "unknown-restriction", "restriction-not-a-number",
         "smoothing-missing-field", "smoothing-not-on-or-off",
         "unk-not-a-number", "unkstat-extra-field",
-        "reserved-zero-denominator"])
+        "reserved-zero-denominator", "root-entries-not-a-number",
+        "root-entries-zero"])
 def test_parse_reports_malformed_row_line(tmp_path, toy_model, toy_treebank,
                                           capsys, prefix, change):
     from dop.cli import main

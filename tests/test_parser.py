@@ -902,6 +902,146 @@ def test_early_stop_needs_a_lead_beyond_rounding(tmp_path):
     assert parted > 0
 
 
+# a third tree over "x y"
+_TREE_G = "(S (G x) (H y))"
+
+
+def test_early_stop_on_the_mass_still_to_come(tmp_path):
+    # A at .5 against C at .25 and G at .0625: after A, the forest holds
+    # .3125 of mass still to come, less than A's lead of .5, so the search
+    # stops at 1. The top-n bound alone would not stop there, (n - 1) .25
+    # being at least .5 for every n > 2.
+    rows = [(_TREE_A, "1/2"), (_TREE_C, "1/4"), (_TREE_G, "1/16")]
+    for n_best in (3, 1000):
+        stopped, full = _parse_both(_stopping_parser(tmp_path, rows, n_best))
+        assert stopped.bracketed == full.bracketed == _TREE_A
+        assert stopped.derivations_examined == 1
+        assert full.derivations_examined == 3
+
+
+@pytest.mark.parametrize("mass", [math.inf, math.nan])
+def test_early_stop_keeps_the_top_n_bound_without_a_finite_forest_mass(
+        tmp_path, mass):
+    # the rows of test_early_stop_on_the_mass_still_to_come, with the start
+    # item's inside sum forced to mass after a first search: the top-n
+    # bound alone decides, at the last derivation
+    rows = [(_TREE_A, "1/2"), (_TREE_C, "1/4"), (_TREE_G, "1/16")]
+    parser = _stopping_parser(tmp_path, rows, 1000)
+    chart = parser.chart(["x", "y"])
+    assert len(nbest_derivations(chart, 1)) == 1
+    [start] = chart.start_items
+    assert start.mass == 1 + 1 / 2 + 1 / 8
+    start.mass = mass
+    derivations = nbest_derivations(chart, 1000, stop_early=True)
+    assert [d.bracketed for d in derivations] == [_TREE_A, _TREE_C, _TREE_G]
+
+
+def _lead_at_the_margin(share):
+    """C's two derivations, at .6 and c of A's mass, against A and G at .1,
+    with c chosen so that C's lead over A, once both are in, clears the
+    bound on the mass still to come with its margin relative to the
+    forest at share of that margin: (lead - leader margin - bound) /
+    (forest margin) = share. Returns the rows."""
+    from dop.parser import _DRIFT, _FAR, _MARGIN
+    best = _log(Fraction(1, 2))
+    spread = math.exp(2.0 * _DRIFT * (_FAR - best))
+    g = 0.1
+    # u, C's mass, solves u - 1 - _MARGIN u
+    #   = (1 + u + g) spread - (1 + u) + share _MARGIN (1 + u + g)
+    u = ((1 + g) * (spread + share * _MARGIN)
+         / (2 - spread - _MARGIN - share * _MARGIN))
+    c = Fraction(u - 0.6).limit_denominator(10 ** 15)
+    return [(_TREE_A, "1/2"), (_TREE_C, "3/10"),
+            ("(S (C x) (D))", str(c / 2)), (_TREE_G, "1/20")]
+
+
+@pytest.mark.parametrize("share, examined", [(0.5, 4), (1.5, 3)])
+def test_early_stop_mass_bound_has_a_margin_relative_to_the_forest(
+        tmp_path, share, examined):
+    # after A (1), C (.6) and C (about .5), C leads A by more than the mass
+    # still to come (G's .1), widened: by half of the margin of 1e-9 of the
+    # forest's mass (2.2), the search runs on to G; by one and a half, it
+    # stops. The top-n bound, 997 times G's .1, decides neither.
+    rows = _lead_at_the_margin(share)
+    stopped, full = _parse_both(_stopping_parser(tmp_path, rows, 1000))
+    assert stopped.bracketed == full.bracketed == _TREE_C
+    assert stopped.derivations_examined == examined
+    assert full.derivations_examined == 4
+
+
+# ------------------------------------------------------------ forest sums
+
+def _forest_log_total(chart):
+    """The log of the chart's total over every derivation, from the start
+    items' inside sums, which the first derivation request fills."""
+    nbest_derivations(chart, 1)
+    firsts = [(-item.derivs[0][0], item.mass) for item in chart.start_items
+              if item.derivs]
+    top = max(best for best, _ in firsts)
+    return top + math.log(sum(math.exp(best - top) * mass
+                              for best, mass in firsts))
+
+
+def test_forest_mass_equals_the_oracle_sum_on_random_banks():
+    # the banks of the oracle differential, unpruned and with no OOV
+    # rules, and depth-bounded and smoothed models of them
+    rng = random.Random(20001)
+    banks = compared = 0
+    while banks < 25:
+        bank = Treebank(tuple(random_tree(rng, max_internal=7, max_depth=3)
+                              for _ in range(rng.randint(1, 3))))
+        start = {t.label for t in bank.trees}
+        fragments = extract_treebank(bank)
+        model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
+                            start_labels=start)
+        if SentenceParser(model).unary_cycle is not None:
+            continue
+        banks += 1
+        models = (model, good_turing_adjust(model),
+                  build_model(fragments, RestrictionSet(max_depth=2),
+                              TOY_HEAD_RULES, start_labels=start))
+        for tree in bank.trees:
+            words = tree.leaves()
+            for sentence in (words, rng.sample(words, len(words))):
+                for variant in models:
+                    parser = SentenceParser(variant, prune_ratio=1e-300)
+                    chart = parser.chart(sentence)
+                    report = enumerate_derivations(variant, sentence)
+                    if not chart.start_items:
+                        assert not report.derivations
+                        continue
+                    exact = _exact_log(sum(d.probability
+                                           for d in report.derivations))
+                    assert math.isclose(_forest_log_total(chart), exact,
+                                        rel_tol=0, abs_tol=1e-12)
+                    compared += 1
+    assert compared > 100
+
+
+def test_forest_mass_is_relative_to_the_best_score_of_stale_items():
+    # the stale width-1 cell of test_chart_keeps_a_stale_inside_score,
+    # under S -> C V: C holds log 0.1, and so, through it, do the prefix
+    # item of S's rule and S; their derivations score .9 and .1, and each
+    # inside sum is taken relative to .9
+    fragments = Counter({frag("(A w)"): 1, frag("(A (B))"): 9,
+                         frag("(B w)"): 1, frag("(C (A))"): 1,
+                         frag("(S (C) (V v))"): 1, frag("(V v)"): 1})
+    model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
+                        start_labels={"S"})
+    chart = ChartParser(SentenceParser(model).rules, start_labels=["S"],
+                        prune_ratio=1e-300).chart(["w", "v"])
+    [start] = chart.start_items
+    [prefix] = [item for sym, item in chart.cells[(0, 2)].items()
+                if sym[0] == "p"]
+    c = chart.item("C", 0, 1)
+    for item in (c, prefix, start):
+        assert math.isclose(item.inside, math.log(0.1))
+    assert math.isclose(_forest_log_total(chart), 0.0, abs_tol=1e-15)
+    for item in (c, prefix, start):
+        assert math.isclose(-item.derivs[0][0], math.log(0.9))
+        assert math.isclose(item.mass, 1 / 0.9)
+
+
 def _toy_parsers(toy_treebank, toy_model, words):
     toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
     return (SentenceParser(toy_model, prune_ratio=1e-300),
