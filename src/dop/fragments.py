@@ -72,13 +72,9 @@ class Fragment:
         raise AttributeError("Fragment is immutable")
 
     @classmethod
-    def from_string(cls, key: str, pieces=None) -> "Fragment":
-        """Read a key in any spacing; the fragment's key is the canonical form.
-
-        A reader of many keys passes one `KeyPieces` to all its calls, and
-        drops it when done (see _canonical_frontier).
-        """
-        _, frontier, canonical = _read_key(key, pieces=pieces)
+    def from_string(cls, key: str) -> "Fragment":
+        """A key read in any spacing, held in its canonical form."""
+        _, frontier, canonical = _read_key(key)
         fragment = cls(canonical)
         object.__setattr__(fragment, "_frontier", frontier)
         return fragment

@@ -21,25 +21,28 @@ Keys are read back in canonical form: a key written with other spacing
 (``(S  (NP john)\t(VP))``) loads as the fragment whose key is
 ``(S (NP john) (VP))``. A malformed row of any kind (a bad key, a field
 missing, a number that does not parse, a zero denominator, a probability
-outside (0, 1], an entry not strictly after the one before it in (root,
-canonical key) order, such as a repeated one) is reported with its line
-number. Once the entry rows are read, each root's rows are checked
-against its root row, their number and their count sum: a mismatch is
-reported on the root row's line, and a root with entry rows but no root
-row on its first entry row's line. Head rules are not stored: they
-decide which fragments pass the restriction at training time, and a
-loaded model has no use for them.
-`read_model` is the file's one reader: `model_from_text` makes a
-`ModelEntry` of each entry row, and `parser.SentenceParser` a rule.
+outside (0, 1], a second root or prior row for one label, an entry not
+strictly after the one before it in (root, canonical key) order, such as
+a repeated one) is reported with its line number, and prior rows that do
+not sum to exactly 1 on the last one's. Once the entry rows are read,
+each root's rows are checked against its root row, their number and
+their count sum: a mismatch is reported on the root row's line, and a
+root with entry rows but no root row on its first entry row's line. Head
+rules are not stored: they decide which fragments pass the restriction at
+training time, and a loaded model has no use for them.
+`read_model` is the file's one reader, and yields each entry row as key
+text: `model_from_text` makes a `ModelEntry` over a `Fragment` of each
+key, and `parser.SentenceParser` a rule, with no `Fragment`.
 """
 
 import gc
+import sys
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
-from .fragments import Fragment, KeyPieces, RestrictionSet
+from .fragments import Fragment, KeyPieces, RestrictionSet, _read_key
 from .model import FragmentModel, ModelEntry, UnknownWordModel
 
 _FORMAT_VERSION = "1"
@@ -126,10 +129,12 @@ def read_model(text, probability=_probability):
     """(header, rows) of a model's text, or of its lines as an open file
     yields them, one at a time.
 
-    header is the model without entries. rows yields (fragment, count,
-    probability(text)) per entry row, in file order, as it reads them; each
-    distinct count and probability text is read once, and each root's
-    row count and count sum are checked once rows is used up.
+    header is the model without entries. rows yields (root, key, frontier,
+    count, probability(text)) per entry row, in file order, as it reads
+    them: key is the row's key in canonical form, root its label, one
+    string per root, and frontier its words and Sites. Each distinct count
+    and probability text is read once, and each root's row count and count
+    sum are checked once rows is used up.
     """
     lines = enumerate(text.splitlines() if isinstance(text, str) else text,
                       start=1)
@@ -171,8 +176,12 @@ def read_model(text, probability=_probability):
                 smoothed = fields[1] == "on"
             elif tag == "start":
                 start = fields[1:]
+            elif tag in ("prior", "root") and fields[1] in (
+                    priors if tag == "prior" else roots):
+                raise ValueError("a second %s row for %s" % (tag, fields[1]))
             elif tag == "prior":
                 priors[fields[1]] = _fraction(fields[2])
+                last_prior = lineno
             elif tag == "root":
                 entries = int(fields[2])
                 if entries < 1:
@@ -191,6 +200,9 @@ def read_model(text, probability=_probability):
                 raise ValueError("unknown record %r" % tag)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
+    if priors and sum(priors.values()) != 1:
+        raise ModelFormatError("line %d: the priors sum to %s, not 1"
+                               % (last_prior, sum(priors.values())))
     unknown = None
     if unk_threshold is not None:
         unknown = UnknownWordModel(threshold=unk_threshold,
@@ -222,7 +234,7 @@ def _entry_rows(lines, roots, root_totals, probability):
         except ValueError:
             raise ModelFormatError("line %d: bad entry row" % lineno) from None
         try:
-            fragment = Fragment.from_string(text, pieces)
+            _, frontier, text = _read_key(text, pieces=pieces)
             number = read_counts.get(count)
             if number is None:
                 number = read_counts[count] = _parse_num(count)
@@ -231,17 +243,19 @@ def _entry_rows(lines, roots, root_totals, probability):
                 value = read_probabilities[share] = probability(share)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
-        label = fragment.root
-        if label < root or label == root and fragment.key <= key:
+        label = text[1:text.index(" ")]
+        if label < root or label == root and text <= key:
             raise ModelFormatError(
                 "line %d: entry %s does not come after %s in (root, key) "
-                "order" % (lineno, fragment.key, key))
+                "order" % (lineno, text, key))
         if label != root:
-            tally = tallies[label] = [lineno, 0, 0]
-        root, key = label, fragment.key
+            # the rows of one root share one root string
+            root = sys.intern(label)
+            tally = tallies[root] = [lineno, 0, 0]
+        key = text
         tally[1] += 1
         tally[2] += number
-        yield fragment, number, value
+        yield root, key, frontier, number, value
     # each root's rows against its root row; of several problems, the one
     # on the first line is reported
     problems = []
@@ -268,8 +282,8 @@ def _entry_rows(lines, roots, root_totals, probability):
 def model_from_text(text) -> FragmentModel:
     """A model read from its text or lines (see read_model)."""
     model, rows = read_model(text)
-    model.entries = {fragment.key: ModelEntry(fragment, count, probability)
-                     for fragment, count, probability in rows}
+    model.entries = {key: ModelEntry(Fragment(key), count, probability)
+                     for _, key, _, count, probability in rows}
     return model
 
 

@@ -1,8 +1,10 @@
 """Chart parsing with fragment-indexed rules.
 
-Each entry row of a model file becomes a rule: lhs = the fragment's root,
-rhs = its frontier (words and substitution sites) left to right, index =
-the row's position. A parser is built from the rows alone, and keeps no
+Each entry row of a model file becomes a rule: lhs = the key's root, rhs
+= its frontier (words and substitution sites) left to right, key = the
+row's canonical key text, index = the row's position. No Fragment is built
+from the file to a parse: a derivation makes one per key only when its
+fragments are read. A parser is built from the rows alone, and keeps no
 model. A parser built for a set of words makes no rule of a row whose
 frontier holds a word outside it: such a rule could complete in no
 sentence of those words, so the parses are the same, from fewer rules.
@@ -34,7 +36,6 @@ SentenceParser.parse by default does not.
 """
 
 import math
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,33 +54,32 @@ class CyclicGrammarError(ValueError):
 
 
 class IndexedRule:
-    """A model fragment as a rule: lhs is its root, rhs its frontier
-    (Site markers and words), logprob its log probability and index its
-    position in the rule list.
+    """A model fragment as a rule, held as its canonical key text: lhs is
+    its root, rhs its frontier (Site markers and words), logprob its log
+    probability and index its position in the rule list.
 
     form and scaled are computed on first access and then kept in their
     slots, so later reads cost what a plain attribute read does.
     """
 
-    __slots__ = ("lhs", "rhs", "fragment", "logprob", "index",
-                 "form", "scaled")
+    __slots__ = ("lhs", "rhs", "key", "logprob", "index", "form", "scaled")
 
-    def __init__(self, lhs, rhs, fragment, logprob, index):
+    def __init__(self, lhs, rhs, key, logprob, index):
         self.lhs = lhs
         self.rhs = rhs
-        self.fragment = fragment
+        self.key = key
         self.logprob = logprob
         self.index = index
 
     def __getattr__(self, name):
         # reached only while the slot is empty
         if name == "form":
-            # the fragment key as a format string, "%s" at each
-            # substitution site and each "%" doubled: formatted with the
-            # bracketed subtrees of the sites, left to right, it gives the
-            # bracketed form of the substituted tree
+            # the key as a format string, "%s" at each substitution site
+            # and each "%" doubled: formatted with the bracketed subtrees
+            # of the sites, left to right, it gives the bracketed form of
+            # the substituted tree
             value = "%s".join(piece.replace("%", "%%")
-                              for piece in _SITE.split(self.fragment.key))
+                              for piece in _SITE.split(self.key))
         elif name == "scaled":
             value = _scaled(self.logprob)    # logprob as an exact int
         else:
@@ -88,12 +88,11 @@ class IndexedRule:
         return value
 
     def __reduce__(self):
-        return (IndexedRule, (self.lhs, self.rhs, self.fragment,
-                              self.logprob, self.index))
+        return (IndexedRule, (self.lhs, self.rhs, self.key, self.logprob,
+                              self.index))
 
     def __repr__(self):
-        return "IndexedRule(%s, %r, %d)" % (self.fragment.key, self.logprob,
-                                            self.index)
+        return "IndexedRule(%s, %r, %d)" % (self.key, self.logprob, self.index)
 
 
 # every finite float is an integer multiple of 2**-1074
@@ -117,12 +116,6 @@ def _unscaled(total: int) -> float:
 
 def _log(probability: Fraction) -> float:
     return math.log(probability.numerator) - math.log(probability.denominator)
-
-
-def _rule(fragment, logprob, index) -> IndexedRule:
-    # the rules of one root share one lhs string
-    return IndexedRule(sys.intern(fragment.root), fragment.frontier, fragment,
-                       logprob, index)
 
 
 def _find_cycle(edges):
@@ -434,9 +427,10 @@ class Derivation:
     logprob is the correctly rounded sum of the fragments' log
     probabilities; bracketed is the write_tree form of the derived tree,
     which tree reads back on each access.
-    realized is a nested (fragment, subs, ...) tuple, subs holding the
-    realizations of the fragment's sites right to left; fragments, in
-    leftmost-substitution order, is flattened from it on first access.
+    realized is a nested (key, subs, ...) tuple, subs holding the
+    realizations of the key's sites right to left; fragments, in
+    leftmost-substitution order, is flattened from it on first access,
+    one Fragment per key.
     """
 
     __slots__ = ("logprob", "bracketed", "_realized", "_fragments")
@@ -454,7 +448,7 @@ class Derivation:
             stack = [self._realized]
             while stack:
                 realized = stack.pop()
-                fragments.append(realized[0])
+                fragments.append(Fragment(realized[0]))
                 stack.extend(realized[1])
             self._fragments = tuple(fragments)
         return self._fragments
@@ -599,7 +593,7 @@ def _get_kth(item, k):
 
 
 def _realize(item, k, strings):
-    """The k-th derivation of an 'n' item as (fragment, subs, string, sum).
+    """The k-th derivation of an 'n' item as (rule key, subs, string, sum).
 
     subs are the realizations of the substitution sites, right to left,
     collected while walking the rule's prefix chain; the string fills the
@@ -644,9 +638,8 @@ def _realize(item, k, strings):
             bracketed = strings[key] = strings.setdefault(bracketed,
                                                           bracketed)
     else:
-        bracketed = rule.fragment.key
-        bracketed = strings.setdefault(bracketed, bracketed)
-    result = item.reals[k] = (rule.fragment, subs, bracketed, total)
+        bracketed = strings.setdefault(rule.key, rule.key)
+    result = item.reals[k] = (rule.key, subs, bracketed, total)
     return result
 
 
@@ -826,7 +819,8 @@ class SentenceParser(ChartParser):
     sentence could complete it. Every row is still read and checked, the
     vocabulary holds the words of every row, and a rule's index is its
     entry row's number, so the charts, derivations and parses are those of
-    a parser built with words=None. Besides the rules the parser keeps what
+    a parser built with words=None. A rule holds its row's root, frontier
+    and key text, and no Fragment. Besides the rules the parser keeps what
     oov_rules reads (the unknown-word model, root totals, reserved mass,
     whether it is smoothed, and the number of entry rows).
 
@@ -848,15 +842,15 @@ class SentenceParser(ChartParser):
 
         def usable_rules():
             index = -1
-            for index, (fragment, _, logprob) in enumerate(rows):
+            for index, (root, key, frontier, _, logprob) in enumerate(rows):
                 if words is not None:
                     # a Site hashes through Python code: leave them out
-                    read = [element for element in fragment.frontier
+                    read = [element for element in frontier
                             if element.__class__ is str]
                     if not words.issuperset(read):
                         skipped.update(read)
                         continue
-                yield _rule(fragment, logprob, index)
+                yield IndexedRule(root, frontier, key, logprob, index)
             self.entry_rows = index + 1
 
         # the entry rows are read once ChartParser has checked prune_ratio
@@ -910,9 +904,9 @@ class SentenceParser(ChartParser):
                     probability = share / (Fraction(total) + 1)
                 if probability <= 0:
                     continue
-                rules.append(_rule(Fragment("(%s %s)" % (tag, word)),
-                                   _log(probability),
-                                   self.entry_rows + len(rules)))
+                rules.append(IndexedRule(tag, (word,), "(%s %s)" % (tag, word),
+                                         _log(probability),
+                                         self.entry_rows + len(rules)))
         return rules
 
     def derivations(self, words) -> list:

@@ -169,8 +169,8 @@ def assert_parser_for_words_agrees(full, model, words, **settings):
     from dop import SentenceParser, Site
     kept = SentenceParser(model, words=words, **settings)
     allowed = set(words)
-    assert [(r.fragment.key, r.logprob.hex(), r.index) for r in kept.rules] \
-        == [(r.fragment.key, r.logprob.hex(), r.index) for r in full.rules
+    assert [(r.key, r.logprob.hex(), r.index) for r in kept.rules] \
+        == [(r.key, r.logprob.hex(), r.index) for r in full.rules
             if all(isinstance(e, Site) or e in allowed for e in r.rhs)]
     assert kept.vocabulary == full.vocabulary
     assert _nbest_keys(kept, words) == _nbest_keys(full, words)

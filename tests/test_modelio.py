@@ -56,7 +56,7 @@ def test_loaded_entries_share_equal_numbers(toy_model):
 
 def _parser_keys(path):
     with open(path, encoding="utf8") as handle:
-        return {rule.fragment.key for rule in SentenceParser(handle).rules}
+        return {rule.key for rule in SentenceParser(handle).rules}
 
 
 @pytest.mark.parametrize("read_keys", [
@@ -254,6 +254,59 @@ def test_parse_reports_malformed_row_line(tmp_path, toy_model, toy_treebank,
     err = capsys.readouterr().err
     assert err.startswith("dop parse: line %d: " % lineno)
     assert "Traceback" not in err
+
+
+def _repeat_row(row, new=None):
+    # the row again, or new in its place, after it; returns the second line
+    def change(lines):
+        lines.insert(lines.index(row) + 1, new or row)
+        return lines.index(row) + 2
+    return change
+
+
+def _set_prior(row, new):
+    def change(lines):
+        lines[lines.index(row)] = new
+        return lines.index("prior\tVP\t1/5") + 1     # the last prior row
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_repeat_row("root\tNP\t4\t4\t0"), "a second root row for NP"),
+    (_repeat_row("root\tNP\t4\t4\t0", "root\tNP\t4\t4\t1/2"),
+     "a second root row for NP"),
+    (_repeat_row("prior\tNP\t2/5", "prior\tNP\t3/5"),
+     "a second prior row for NP"),
+    (_set_prior("prior\tNP\t2/5", "prior\tNP\t3/5"),
+     "the priors sum to 6/5, not 1"),
+    (_set_prior("prior\tS\t1/5", "prior\tS\t1/10"),
+     "the priors sum to 9/10, not 1"),
+], ids=["repeated-root", "repeated-root-reserving", "repeated-prior",
+        "priors-above-1", "priors-below-1"])
+def test_parse_refuses_repeated_or_unnormalized_header_rows(
+        tmp_path, toy_model, capsys, change, message):
+    from dop.cli import main
+    lines = model_to_text(toy_model).split("\n")
+    lineno = change(lines)
+    text = "\n".join(lines)
+    with pytest.raises(ModelFormatError,
+                       match="^line %d: %s$" % (lineno, message)):
+        model_from_text(text)
+    path = tmp_path / "bad.dopmodel"
+    path.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("john likes mary\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    err = capsys.readouterr().err
+    assert err == "dop parse: line %d: %s\n" % (lineno, message)
+
+
+def test_a_model_without_prior_rows_loads(toy_model):
+    text = "".join(line for line in model_to_text(toy_model).splitlines(True)
+                   if not line.startswith("prior\t"))
+    assert model_from_text(text).priors == {}
+    assert SentenceParser(text.splitlines()).parse(
+        "john likes mary".split()) is not None
 
 
 def test_model_read_from_lines_equals_model_read_from_text(toy_model):

@@ -122,8 +122,8 @@ def _ref_realize(item, k):
     if subs:
         bracketed = rule.form % tuple([sub[2] for sub in reversed(subs)])
     else:
-        bracketed = rule.fragment.key
-    result = item.reals[k] = (rule.fragment, subs, bracketed, total)
+        bracketed = rule.key
+    result = item.reals[k] = (rule.key, subs, bracketed, total)
     return result
 
 

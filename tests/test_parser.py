@@ -66,7 +66,7 @@ def test_compose_chain_closes_to_tree():
 # ------------------------------------------------------------------- rules
 
 def test_rules_frontier_reading(toy_model):
-    rules = {r.fragment.key: r for r in SentenceParser(toy_model).rules}
+    rules = {r.key: r for r in SentenceParser(toy_model).rules}
     lexical = rules["(S (NP john) (VP))"]
     assert lexical.lhs == "S"
     assert lexical.rhs == ("john", Site("VP"))
@@ -78,14 +78,14 @@ def test_rules_pickle_and_keep_lazy_fields(toy_model):
     # a pool that spawns its workers pickles the parser to them
     for rule in SentenceParser(toy_model).rules:
         copy = pickle.loads(pickle.dumps(rule))
-        assert (copy.lhs, copy.rhs, copy.fragment, copy.logprob,
-                copy.index) == (rule.lhs, rule.rhs, rule.fragment,
+        assert (copy.lhs, copy.rhs, copy.key, copy.logprob,
+                copy.index) == (rule.lhs, rule.rhs, rule.key,
                                 rule.logprob, rule.index)
         assert copy.scaled == rule.scaled == _scaled(rule.logprob)
         assert copy.form == rule.form
         assert copy.form % tuple(["(%s)" % site.label for site in rule.rhs
                                   if isinstance(site, Site)]) == \
-            rule.fragment.key
+            rule.key
     parser = SentenceParser(toy_model)
     copy = pickle.loads(pickle.dumps(parser))
     words = "john likes mary".split()
@@ -101,28 +101,64 @@ def test_rules_of_one_root_share_one_lhs():
     shared = {}
     for rule in rules:
         assert shared.setdefault(rule.lhs, rule.lhs) is rule.lhs
-        assert rule.lhs == rule.fragment.root
+        assert rule.lhs == Fragment(rule.key).root
     assert len(shared) > 1 and len(rules) > 10 * len(shared)
 
 
 def test_sentence_parser_pickles_without_the_model(toy_treebank, toy_model):
     # a worker pool is sent the parser: it carries the rules and what
-    # oov_rules reads, not the model's entries
+    # oov_rules reads, not the model's entries, and its rules hold key
+    # text, not Fragments
     toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
     parser = SentenceParser(toy_model, n_best=1000, prune_ratio=1e-300)
     assert not hasattr(parser, "model")
     data = pickle.dumps(parser)
     assert b"ModelEntry" not in data and b"FragmentModel" not in data
+    assert b"Fragment" not in data
     copy = pickle.loads(data)
     for words in ("john likes mary", "sam likes mary", "peter hates susan"):
         words = words.split()
         assert copy.parse(words).tree_tallies == \
             parser.parse(words).tree_tallies
     words = "sam likes mary".split()
-    guesses = [(r.lhs, r.fragment, r.logprob, r.index)
+    guesses = [(r.lhs, r.key, r.logprob, r.index)
                for r in parser.oov_rules(words)]
-    assert guesses and guesses == [(r.lhs, r.fragment, r.logprob, r.index)
+    assert guesses and guesses == [(r.lhs, r.key, r.logprob, r.index)
                                    for r in copy.oov_rules(words)]
+
+
+def test_model_text_to_parse_builds_no_fragment(tmp_path, toy_treebank,
+                                                 toy_model, monkeypatch):
+    # rules, derivations and parses carry key text; a derivation builds its
+    # Fragments only when they are read
+    from dop.cli import main
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    text = model_to_text(toy_model)
+    sentences = [words.split() for words in
+                 ("john likes mary", "sam likes mary", "peter hates susan")]
+    path = tmp_path / "toy.dopmodel"
+    path.write_text(text)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("".join(" ".join(words) + "\n" for words in sentences))
+    made = []
+    build = Fragment.__init__
+
+    def counted(self, key):
+        made.append(key)
+        build(self, key)
+
+    monkeypatch.setattr(Fragment, "__init__", counted)
+    derivations = []
+    for allowed in (None, {word for words in sentences for word in words}):
+        parser = SentenceParser(io.StringIO(text), words=allowed)
+        for words in sentences:
+            derivations += parser.derivations(words)
+            assert parser.parse(words) is not None
+    assert main(["parse", "--model", str(path), "--input", str(sents),
+                 "--output", str(tmp_path / "out.txt")]) == 0
+    assert parser.oov_rules(["sam"]) and made == []
+    keys = [fragment.key for fragment in derivations[0].fragments]
+    assert made == keys
 
 
 def test_rules_bijection(toy_model):
@@ -130,7 +166,7 @@ def test_rules_bijection(toy_model):
     assert len(rules) == len(toy_model.entries)
     assert len({r.index for r in rules}) == len(rules)
     for rule in rules:
-        entry = toy_model.entries[rule.fragment.key]
+        entry = toy_model.entries[rule.key]
         assert math.isclose(rule.logprob, math.log(float(entry.probability)))
 
 
@@ -139,18 +175,18 @@ def _assert_rules_from_model_and_file_agree(model):
     # by row, each log probability that of the entry's exact probability
     from_model = SentenceParser(model).rules
     from_file = SentenceParser(io.StringIO(model_to_text(model))).rules
-    assert [(r.fragment.key, r.lhs, r.rhs, r.logprob.hex(), r.index)
+    assert [(r.key, r.lhs, r.rhs, r.logprob.hex(), r.index)
             for r in from_model] == \
-        [(r.fragment.key, r.lhs, r.rhs, r.logprob.hex(), r.index)
+        [(r.key, r.lhs, r.rhs, r.logprob.hex(), r.index)
          for r in from_file]
     entries = model.entries
-    assert [r.fragment.key for r in from_model] == sorted(
+    assert [r.key for r in from_model] == sorted(
         entries, key=lambda key: (entries[key].fragment.root, key))
     assert [r.index for r in from_model] == list(range(len(entries)))
     for rules in (from_model, from_file):
         lhs = {}
         for rule in rules:
-            assert rule.logprob == _log(entries[rule.fragment.key].probability)
+            assert rule.logprob == _log(entries[rule.key].probability)
             assert lhs.setdefault(rule.lhs, rule.lhs) is rule.lhs
         assert len(lhs) == len({e.fragment.root for e in entries.values()})
 
@@ -439,18 +475,18 @@ def test_chart_keeps_a_stale_inside_score():
                          frag("(B w)"): 1, frag("(C (A))"): 1})
     model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES,
                         start_labels={"C"})
-    rules = {rule.fragment.key: rule for rule in SentenceParser(model).rules}
+    rules = {rule.key: rule for rule in SentenceParser(model).rules}
     chart = ChartParser(rules.values(), start_labels=["C"],
                         prune_ratio=1e-300).chart(["w"])
     cell = chart.cells[(0, 1)]
     assert list(cell) == [("w", "w"), ("n", "A"), ("n", "B"), ("n", "C")]
     word, a, b, c = cell.values()
     assert word.edges == []
-    assert [(rule.fragment.key, tails) for rule, tails, _ in a.edges] == [
+    assert [(rule.key, tails) for rule, tails, _ in a.edges] == [
         ("(A w)", (word,)), ("(A (B))", (b,))]
-    assert [(rule.fragment.key, tails) for rule, tails, _ in b.edges] == [
+    assert [(rule.key, tails) for rule, tails, _ in b.edges] == [
         ("(B w)", (word,))]
-    assert [(rule.fragment.key, tails) for rule, tails, _ in c.edges] == [
+    assert [(rule.key, tails) for rule, tails, _ in c.edges] == [
         ("(C (A))", (a,))]
     for item in (a, b, c):
         assert all(weight == rule.logprob for rule, _, weight in item.edges)
@@ -695,7 +731,7 @@ def _oracle_differential(model, words):
                             prune_ratio=1e-300)
     derivations = parser.derivations(words)
     # each logprob is the correctly rounded sum of its rules' logprobs
-    rule_logprob = {rule.fragment.key: rule.logprob for rule in parser.rules}
+    rule_logprob = {rule.key: rule.logprob for rule in parser.rules}
     for derivation in derivations:
         exact = math.fsum(rule_logprob[f.key] for f in derivation.fragments)
         assert derivation.logprob.hex() == exact.hex()
@@ -1069,10 +1105,10 @@ def test_oov_rules_are_numbered_after_the_entry_rows(toy_treebank,
                                                      toy_model):
     words = "sam likes zoe".split()
     full, kept = _toy_parsers(toy_treebank, toy_model, words)
-    guesses = [(r.lhs, r.fragment, r.logprob.hex(), r.index)
+    guesses = [(r.lhs, r.key, r.logprob.hex(), r.index)
                for r in full.oov_rules(words)]
     assert len(guesses) > 2
-    assert guesses == [(r.lhs, r.fragment, r.logprob.hex(), r.index)
+    assert guesses == [(r.lhs, r.key, r.logprob.hex(), r.index)
                        for r in kept.oov_rules(words)]
     assert [index for *_, index in guesses] == list(range(
         len(toy_model.entries), len(toy_model.entries) + len(guesses)))
