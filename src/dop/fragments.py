@@ -33,9 +33,7 @@ class SamplingError(ValueError):
     """No node in the treebank supports the requested fragment depth."""
 
 
-# In a canonical key a site is the only "(label)" without a space, and a
-# word is the only token after a space that is not a bracket.
-_SITE_OR_WORD = re.compile(r"\(([^\s()]+)\)| ([^\s()]+)")
+# in a canonical key a site is the only "(label)" without a space
 _SITE = re.compile(r"\([^\s()]+\)")
 _BRACKET = re.compile(r"[()]")
 _NESTING = {"(": 1, ")": -1}
@@ -97,9 +95,7 @@ class Fragment:
     def frontier(self) -> tuple:
         """Frontier items left to right: word strings and Site markers."""
         if self._frontier is None:
-            object.__setattr__(self, "_frontier", tuple(
-                _site(site) if site else sys.intern(word)
-                for site, word in _SITE_OR_WORD.findall(self.key)))
+            object.__setattr__(self, "_frontier", _read_key(self.key)[1])
         return self._frontier
 
     @property

@@ -21,15 +21,17 @@ Keys are read back in canonical form: a key written with other spacing
 (``(S  (NP john)\t(VP))``) loads as the fragment whose key is
 ``(S (NP john) (VP))``. A malformed row of any kind (a bad key, a field
 missing, a number that does not parse, a zero denominator, a probability
-outside (0, 1], a second root or prior row for one label, an entry not
-strictly after the one before it in (root, canonical key) order, such as
-a repeated one) is reported with its line number, and prior rows that do
-not sum to exactly 1 on the last one's. Once the entry rows are read,
-each root's rows are checked against its root row, their number and
-their count sum: a mismatch is reported on the root row's line, and a
-root with entry rows but no root row on its first entry row's line. Head
-rules are not stored: they decide which fragments pass the restriction at
-training time, and a loaded model has no use for them.
+or prior outside (0, 1], a root total or an entry or unkstat count not
+above 0, a reserved mass outside [0, 1), a second root or prior row for
+one label, an entry not strictly after the one before it in (root,
+canonical key) order, such as a repeated one) is reported with its line
+number, and prior rows that do not sum to exactly 1 on the last one's.
+Once the entry rows are read, each root's rows are checked against its
+root row, their number and their count sum: a mismatch is reported on the
+root row's line, and a root with entry rows but no root row on its first
+entry row's line. Head rules are not stored: they decide which fragments
+pass the restriction at training time, and a loaded model has no use for
+them.
 `read_model` is the file's one reader, and yields each entry row as key
 text: `model_from_text` makes a `ModelEntry` over a `Fragment` of each
 key, and `parser.SentenceParser` a rule, with no `Fragment`.
@@ -52,10 +54,6 @@ _RESTRICTION_FIELDS = ("max_depth", "max_frontier_words", "max_unlex_depth",
 
 class ModelFormatError(ValueError):
     pass
-
-
-def _num(value) -> str:
-    return str(value)          # int -> "n", Fraction -> "a/b" or "n"
 
 
 def _fraction(text) -> Fraction:
@@ -92,14 +90,14 @@ def _model_lines(model: FragmentModel):
     yield "smoothing\t%s\n" % ("on" if model.smoothed else "off")
     yield "start\t%s\n" % "\t".join(sorted(model.start_labels))
     for label in sorted(model.priors):
-        yield "prior\t%s\t%s\n" % (label, _num(model.priors[label]))
+        yield "prior\t%s\t%s\n" % (label, model.priors[label])
     grouped = defaultdict(list)
     for key, entry in model.entries.items():
         grouped[entry.fragment.root].append(key)
     for root in sorted(grouped):
         yield "root\t%s\t%d\t%s\t%s\n" % (
-            root, len(grouped[root]), _num(model.root_totals[root]),
-            _num(model.reserved_mass.get(root, Fraction(0))))
+            root, len(grouped[root]), model.root_totals[root],
+            model.reserved_mass.get(root, 0))
     unknown = model.unknown_words
     if unknown is not None:
         yield "unk\t%d\n" % unknown.threshold
@@ -112,8 +110,7 @@ def _model_lines(model: FragmentModel):
     for root in sorted(grouped):
         for key in sorted(grouped[root]):
             entry = model.entries[key]
-            yield "%s\t%s\t%s\n" % (
-                _num(entry.count), _num(entry.probability), key)
+            yield "%s\t%s\t%s\n" % (entry.count, entry.probability, key)
 
 
 def model_to_text(model: FragmentModel) -> str:
@@ -133,8 +130,8 @@ def read_model(text, probability=_probability):
     count, probability(text)) per entry row, in file order, as it reads
     them: key is the row's key in canonical form, root its label, one
     string per root, and frontier its words and Sites. Each distinct count
-    and probability text is read once, and each root's row count and count
-    sum are checked once rows is used up.
+    and probability text is read and checked once, and each root's row
+    count and count sum are checked once rows is used up.
     """
     lines = enumerate(text.splitlines() if isinstance(text, str) else text,
                       start=1)
@@ -180,20 +177,28 @@ def read_model(text, probability=_probability):
                     priors if tag == "prior" else roots):
                 raise ValueError("a second %s row for %s" % (tag, fields[1]))
             elif tag == "prior":
-                priors[fields[1]] = _fraction(fields[2])
+                priors[fields[1]] = _probability(fields[2])
                 last_prior = lineno
             elif tag == "root":
                 entries = int(fields[2])
                 if entries < 1:
                     raise ValueError("root %s has %d entries, not at least 1"
                                      % (fields[1], entries))
-                root_totals[fields[1]] = _parse_num(fields[3])
-                reserved[fields[1]] = _fraction(fields[4])
+                total = root_totals[fields[1]] = _parse_num(fields[3])
+                if total <= 0:
+                    raise ValueError("root %s has total %s, not above 0"
+                                     % (fields[1], fields[3]))
+                mass = reserved[fields[1]] = _fraction(fields[4])
+                if not 0 <= mass < 1:
+                    raise ValueError("root %s reserves %s, not in [0, 1)"
+                                     % (fields[1], fields[4]))
                 roots[fields[1]] = (lineno, entries)
             elif tag == "unk":
                 unk_threshold = int(fields[1])
             elif tag == "unkstat":
                 suffix, caps, hyphen, digit, pos, count = fields[1:]
+                if int(count) < 1:
+                    raise ValueError("unkstat count %s is not above 0" % count)
                 unk_stats[(suffix, bool(int(caps)), bool(int(hyphen)),
                            bool(int(digit)))][pos] = int(count)
             else:
@@ -238,6 +243,8 @@ def _entry_rows(lines, roots, root_totals, probability):
             number = read_counts.get(count)
             if number is None:
                 number = read_counts[count] = _parse_num(count)
+                if number <= 0:
+                    raise ValueError("count %s is not above 0" % count)
             value = read_probabilities.get(share)
             if value is None:
                 value = read_probabilities[share] = probability(share)

@@ -39,6 +39,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 from math import exp
@@ -116,31 +117,6 @@ def _unscaled(total: int) -> float:
 
 def _log(probability: Fraction) -> float:
     return math.log(probability.numerator) - math.log(probability.denominator)
-
-
-def _find_cycle(edges):
-    """A label on a cycle of the unary-rule graph, or None."""
-    done = set()
-    for origin in edges:
-        if origin in done:
-            continue
-        path = set()
-        stack = [(origin, iter(edges.get(origin, ())))]
-        path.add(origin)
-        while stack:
-            label, it = stack[-1]
-            for succ in it:
-                if succ in path:
-                    return succ
-                if succ not in done:
-                    path.add(succ)
-                    stack.append((succ, iter(edges.get(succ, ()))))
-                    break
-            else:
-                stack.pop()
-                path.discard(label)
-                done.add(label)
-    return None
 
 
 class ChartItem:
@@ -277,7 +253,12 @@ class ChartParser:
             completions[node] += (rule,)
             if len(rhs) == 1 and sym[0] == "n":
                 unary_edges[rule.lhs].add(sym[1])
-        self.unary_cycle = _find_cycle(unary_edges)
+        self.unary_cycle = None
+        try:
+            TopologicalSorter(unary_edges).prepare()
+        except CycleError as err:
+            # err.args[1] lists the labels around one cycle
+            self.unary_cycle = err.args[1][0]
 
     def _log_prior(self, label):
         return self._log_priors.get(label, self._default_log_prior)
@@ -821,8 +802,9 @@ class SentenceParser(ChartParser):
     entry row's number, so the charts, derivations and parses are those of
     a parser built with words=None. A rule holds its row's root, frontier
     and key text, and no Fragment. Besides the rules the parser keeps what
-    oov_rules reads (the unknown-word model, root totals, reserved mass,
-    whether it is smoothed, and the number of entry rows).
+    oov_rules reads: the unknown-word model, oov_mass (per root label, the
+    probability of an unknown word's rule per unit of its tag share, built
+    once from the root rows) and the number of entry rows.
 
     stop_early, when set, ends each sentence's n-best search once its most
     probable parse is decided (see nbest_derivations): the same tree, from
@@ -859,9 +841,12 @@ class SentenceParser(ChartParser):
         self.n_best = n_best
         self.stop_early = stop_early
         self.unknown_words = header.unknown_words
-        self.root_totals = header.root_totals
-        self.reserved_mass = header.reserved_mass
-        self.smoothed = header.smoothed
+        # per root, an unknown word's rule probability per unit of tag share
+        reserved = header.reserved_mass
+        self.oov_mass = {
+            tag: reserved.get(tag, 0) if header.smoothed
+            else 1 / (Fraction(total) + 1)
+            for tag, total in header.root_totals.items()}
         # the model's words: those of the kept rules, each a word symbol of
         # the trie, and those of the rows skipped
         self.vocabulary = {sym[1] for sym in chain(self.first_step,
@@ -894,14 +879,7 @@ class SentenceParser(ChartParser):
                 continue          # no fragment key can hold a bracket
             distribution = unknown.tag_distribution(word)
             for tag, share in sorted(distribution.items()):
-                total = self.root_totals.get(tag)
-                if total is None:
-                    continue
-                if self.smoothed:
-                    mass = self.reserved_mass.get(tag, Fraction(0))
-                    probability = mass * share
-                else:
-                    probability = share / (Fraction(total) + 1)
+                probability = self.oov_mass.get(tag, 0) * share
                 if probability <= 0:
                     continue
                 rules.append(IndexedRule(tag, (word,), "(%s %s)" % (tag, word),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dop import (Fragment, RestrictionSet, SentenceParser, Site,
@@ -285,20 +287,75 @@ def _set_prior(row, new):
         "priors-above-1", "priors-below-1"])
 def test_parse_refuses_repeated_or_unnormalized_header_rows(
         tmp_path, toy_model, capsys, change, message):
+    _assert_refused(tmp_path, capsys, toy_model, change, message,
+                    "john likes mary")
+
+
+def _assert_refused(tmp_path, capsys, model, change, message, sentence):
+    """model's text, with change made to its lines, is refused with
+    message on the line change returns, by model_from_text and by dop
+    parse on sentence."""
     from dop.cli import main
-    lines = model_to_text(toy_model).split("\n")
+    lines = model_to_text(model).split("\n")
     lineno = change(lines)
     text = "\n".join(lines)
-    with pytest.raises(ModelFormatError,
-                       match="^line %d: %s$" % (lineno, message)):
+    with pytest.raises(ModelFormatError, match="^%s$" % re.escape(
+            "line %d: %s" % (lineno, message))):
         model_from_text(text)
     path = tmp_path / "bad.dopmodel"
     path.write_text(text)
     sents = tmp_path / "sents.txt"
-    sents.write_text("john likes mary\n")
+    sents.write_text(sentence + "\n")
     assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
     err = capsys.readouterr().err
     assert err == "dop parse: line %d: %s\n" % (lineno, message)
+
+
+def _replace_row(row, new):
+    def change(lines):
+        lines[lines.index(row)] = new
+        return lines.index(new) + 1
+    return change
+
+
+@pytest.mark.parametrize("change, message", [
+    (_replace_row("1\t1/4\t(NP john)", "-1\t1/4\t(NP john)"),
+     "count -1 is not above 0"),
+    (_replace_row("1\t1/4\t(NP john)", "0\t1/4\t(NP john)"),
+     "count 0 is not above 0"),
+    (_replace_row("1\t1/4\t(NP john)", "-1/2\t1/4\t(NP john)"),
+     "count -1/2 is not above 0"),
+    (_replace_row("root\tNP\t4\t4\t0", "root\tNP\t4\t-1\t0"),
+     "root NP has total -1, not above 0"),
+    (_replace_row("root\tNP\t4\t4\t0", "root\tNP\t4\t0\t0"),
+     "root NP has total 0, not above 0"),
+    (_replace_row("root\tNP\t4\t4\t0", "root\tNP\t4\t-1/2\t0"),
+     "root NP has total -1/2, not above 0"),
+    (_replace_row("root\tNP\t4\t4\t0", "root\tNP\t4\t4\t2"),
+     "root NP reserves 2, not in [0, 1)"),
+    (_replace_row("root\tNP\t4\t4\t0", "root\tNP\t4\t4\t1"),
+     "root NP reserves 1, not in [0, 1)"),
+    (_replace_row("root\tNP\t4\t4\t0", "root\tNP\t4\t4\t-1/2"),
+     "root NP reserves -1/2, not in [0, 1)"),
+    (_replace_row("prior\tNP\t2/5", "prior\tNP\t-1/5"),
+     "probability -1/5 is not in (0, 1]"),
+    (_replace_row("prior\tNP\t2/5", "prior\tNP\t6/5"),
+     "probability 6/5 is not in (0, 1]"),
+    (_replace_row("unkstat\tan\t0\t0\t0\tNP\t1",
+                  "unkstat\tan\t0\t0\t0\tNP\t0"),
+     "unkstat count 0 is not above 0"),
+], ids=["count-negative", "count-zero", "count-negative-fraction",
+        "total-negative", "total-zero", "total-negative-fraction",
+        "reserved-above-1", "reserved-1", "reserved-negative",
+        "prior-negative", "prior-above-1", "unkstat-count-zero"])
+def test_parse_refuses_out_of_range_numbers(tmp_path, toy_model, toy_treebank,
+                                            capsys, change, message):
+    # "sam" is out of vocabulary: its rules read the root totals and the
+    # reserved mass, so unchecked, a case can give it a probability above
+    # 1 or end in a ZeroDivisionError
+    toy_model.unknown_words = train_unknown_model(toy_treebank, threshold=5)
+    _assert_refused(tmp_path, capsys, toy_model, change, message,
+                    "sam likes mary")
 
 
 def test_a_model_without_prior_rows_loads(toy_model):

@@ -11,13 +11,13 @@ import pytest
 
 import dop.parser
 from dop import (ChartParser, CompositionError, CyclicGrammarError, Fragment,
-                 RestrictionSet, SentenceParser, Site, Tree, build_model,
-                 compose, derivation_probability, enumerate_derivations,
-                 extract_treebank, good_turing_adjust, most_probable_parse,
-                 nbest_derivations, read_treebank, read_trees,
-                 train_unknown_model, write_tree)
+                 RestrictionSet, SentenceParser, Site, Tree, UnknownWordModel,
+                 build_model, compose, derivation_probability,
+                 enumerate_derivations, extract_treebank, good_turing_adjust,
+                 most_probable_parse, nbest_derivations, read_treebank,
+                 read_trees, train_unknown_model, write_model, write_tree)
 from dop.cli import _sentence_parser
-from dop.modelio import model_from_text, model_to_text
+from dop.modelio import model_from_text, model_to_text, read_model
 from dop.parser import Derivation, _log, _scaled, _unscaled
 from dop.tree import Treebank
 from conftest import (TOY_HEAD_RULES, assert_parser_for_words_agrees,
@@ -463,6 +463,39 @@ def test_unary_cycle_raises():
                         prune_ratio=1e-300).chart(["w"])
     with pytest.raises(CyclicGrammarError):
         nbest_derivations(chart, 10)
+
+
+def _unary_model(*keys):
+    return build_model(Counter({frag(key): 1 for key in keys}),
+                       RestrictionSet(), TOY_HEAD_RULES, start_labels={"A"})
+
+
+def test_a_unary_self_loop_is_refused(tmp_path, capsys):
+    from dop.cli import main
+    model = _unary_model("(A (A))", "(A w)")
+    parser = SentenceParser(model, prune_ratio=1e-300)
+    assert parser.unary_cycle == "A"
+    with pytest.raises(CyclicGrammarError, match="cycle through 'A'"):
+        nbest_derivations(parser.chart(["w"]), 10)
+    path = tmp_path / "loop.dopmodel"
+    write_model(model, path)
+    sents = tmp_path / "sents.txt"
+    sents.write_text("w\n")
+    assert main(["parse", "--model", str(path), "--input", str(sents)]) == 2
+    err = capsys.readouterr().err
+    assert "unary fragment cycle through 'A'" in err
+    assert "Traceback" not in err
+
+
+def test_unary_cycle_names_a_label_on_the_cycle():
+    model = _unary_model("(A (B))", "(B (C))", "(C (A))", "(A w)", "(C (D))",
+                         "(D w)")
+    assert SentenceParser(model).unary_cycle in {"A", "B", "C"}
+
+
+def test_a_unary_diamond_has_no_cycle():
+    model = _unary_model("(A (B))", "(A (C))", "(B (D))", "(C (D))", "(D w)")
+    assert SentenceParser(model).unary_cycle is None
 
 
 def test_chart_keeps_a_stale_inside_score():
@@ -1099,6 +1132,33 @@ def test_parser_for_words_refuses_other_model_words(toy_treebank, toy_model):
     for sentence in ("sam likes mary", "john likes zoe"):
         words = sentence.split()
         assert kept.parse(words) == full.parse(words) is not None
+
+
+@pytest.mark.parametrize("smoothed", [False, True])
+def test_oov_rule_probabilities(toy_model, smoothed):
+    # an unsmoothed root gives an unknown word share / (total + 1), a
+    # smoothed one its reserved mass times share; S and VP reserve mass,
+    # NP none, and X has no root row
+    toy_model.unknown_words = UnknownWordModel(threshold=1, full_stats={
+        ("m", False, False, False): Counter(NP=1, VP=2, S=1, X=1)})
+    model = good_turing_adjust(toy_model) if smoothed else toy_model
+    text = model_to_text(model)
+    header, _ = read_model(text)
+    expected = {}
+    for tag, share in header.unknown_words.tag_distribution("sam").items():
+        if tag not in header.root_totals:
+            continue
+        if smoothed:
+            probability = header.reserved_mass.get(tag, 0) * share
+        else:
+            probability = share / (header.root_totals[tag] + 1)
+        if probability:
+            expected[tag] = _log(probability).hex()
+    assert set(expected) == ({"S", "VP"} if smoothed else {"NP", "S", "VP"})
+    rules = SentenceParser(text.splitlines()).oov_rules(["sam"])
+    assert {rule.lhs: rule.logprob.hex() for rule in rules} == expected
+    assert [(rule.rhs, rule.key) for rule in rules] == [
+        (("sam",), "(%s sam)" % tag) for tag in sorted(expected)]
 
 
 def test_oov_rules_are_numbered_after_the_entry_rows(toy_treebank,
