@@ -332,9 +332,11 @@ def _parse_corpus(parser, sentences, workers):
     """[(bracketed-or-None, probability, derivations, seconds)] in order.
 
     The parser is built before any worker starts, so that a bad setting
-    fails the command once; a pool is sent the parser, not the model.
+    fails the command once; a pool is sent the parser, not the model, and
+    holds no more workers than there are sentences.
     """
-    if workers > 1 and len(sentences) > 1:
+    workers = min(workers, len(sentences))
+    if workers > 1:
         # imported here: no other command, nor a one-worker parse, pays
         # for the import
         import multiprocessing
@@ -353,7 +355,10 @@ def _parse_settings(options):
     prune_ratio = options.floating("prune_ratio")
     if not 0.0 < prune_ratio <= 1.0:
         raise ValueError("prune_ratio must be in (0, 1]")
-    return n_best, prune_ratio, options.integer("workers")
+    workers = options.integer("workers")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return n_best, prune_ratio, workers
 
 
 def _sentence_parser(path, sentences, n_best, prune_ratio):

@@ -10,7 +10,10 @@ A `Fragment` is held as its canonical key, the form `tree.write_tree`
 gives its structure: internal nodes as ``(label child ...)``, substitution
 sites as ``(label)``, words bare, one space before each child —
 ``(S (NP john) (VP))`` is the fragment with an expanded subject and an
-open VP site.
+open VP site. Every key is read by one walk over its space-separated
+pieces, which yields its frontier and, for `Fragment.structure`, its
+`Tree`; a key in other spacing is rejoined from its tokens first (see
+_read_key).
 """
 
 import random
@@ -72,7 +75,7 @@ class Fragment:
     @classmethod
     def from_string(cls, key: str) -> "Fragment":
         """A key read in any spacing, held in its canonical form."""
-        _, frontier, canonical = _read_key(key)
+        frontier, canonical = _read_key(key)
         fragment = cls(canonical)
         object.__setattr__(fragment, "_frontier", frontier)
         return fragment
@@ -95,7 +98,7 @@ class Fragment:
     def frontier(self) -> tuple:
         """Frontier items left to right: word strings and Site markers."""
         if self._frontier is None:
-            object.__setattr__(self, "_frontier", _read_key(self.key)[1])
+            object.__setattr__(self, "_frontier", _read_key(self.key)[0])
         return self._frontier
 
     @property
@@ -105,8 +108,23 @@ class Fragment:
 
     @property
     def structure(self) -> Tree:
-        """The fragment as a `Tree` with `Site` leaves, read from the key."""
-        return _read_key(self.key, build=True)[0]
+        """The fragment as a `Tree` with `Site` leaves, built by a walk over
+        the pieces of its canonical key (see _piece)."""
+        pieces = KeyPieces()
+        labels = []            # the label of each open node
+        children = [[]]        # its children, after a list for the root
+        for piece in _read_key(self.key, pieces)[1].split(" "):
+            kind = pieces[piece]
+            if kind is _OPENING:
+                labels.append(piece[1:])
+                children.append([])
+                continue
+            change, item, _ = kind
+            children[-1].append(item)
+            for _ in range(-change):
+                node = Tree(labels.pop(), children.pop())
+                children[-1].append(node)
+        return children[0][0]
 
     def __eq__(self, other):
         return isinstance(other, Fragment) and self.key == other.key
@@ -124,66 +142,23 @@ class Fragment:
         return self.key
 
 
-def _read_key(text, build=False, pieces=None):
-    """(structure, frontier, canonical key) of a bracketed key, in one pass.
+def _read_key(text, pieces=None):
+    """(frontier, canonical key) of a bracketed key.
 
-    The structure is built only when asked for, and is None otherwise. The
-    canonical key is the tokens rejoined with single spaces, none just
-    inside a bracket: what `write_tree` makes of the structure. A key that
-    is already canonical, as every key `dop train` writes is, has its
-    frontier read piece by piece instead (see _canonical_frontier).
+    The canonical key is the key's tokens rejoined with single spaces, none
+    just inside a bracket: what `write_tree` makes of its structure. A key
+    that is already canonical, as every key `dop train` writes is, is read
+    piece by piece (see _canonical_frontier); any other text is rejoined
+    first, and the rejoined text read the same way.
     """
-    if not build:
-        frontier = _canonical_frontier(text, pieces)
-        if frontier is not None:
-            return None, frontier, text
-
-    def fail(msg):
-        raise ValueError("bad fragment key %r: %s" % (text, msg))
-
-    tokens = _TOKEN.findall(text)
-    if not tokens or tokens[0] != "(":
-        fail("expected '('")
-    last = len(tokens) - 1
-    frontier = []
-    stack = []               # (label, children) of each open node
-    want_label = False
-    for pos, tok in enumerate(tokens):
-        if want_label:
-            if tok == "(" or tok == ")":
-                fail("expected label")
-            stack.append((tok, []))
-            want_label = False
-        elif tok == "(":
-            want_label = True
-        elif tok == ")":
-            label, children = stack.pop()
-            if not children:
-                node = _site(label)
-                frontier.append(node)
-            elif build:
-                node = Tree(label, children)
-            else:
-                node = label      # the parent only reads that it has children
-            if stack:
-                stack[-1][1].append(node)
-            elif pos != last:
-                fail("trailing tokens")
-            elif not children:
-                fail("fragment must have at least one level")
-        else:
-            # tokens[pos - 1] is then the label of the word's node
-            if tokens[pos - 2] != "(" or tokens[pos + 1:pos + 2] != [")"]:
-                fail("a word must be the only child of its node")
-            word = sys.intern(tok)
-            stack[-1][1].append(word)
-            frontier.append(word)
-    if want_label:
-        fail("expected label")
-    if stack:
-        fail("unbalanced")
-    key = " ".join(tokens).replace("( ", "(").replace(" )", ")")
-    return node if build else None, tuple(frontier), key
+    frontier = _canonical_frontier(text, pieces)
+    if frontier is not None:
+        return frontier, text
+    key = " ".join(_TOKEN.findall(text)).replace("( ", "(").replace(" )", ")")
+    frontier = _canonical_frontier(key, pieces)
+    if frontier is None:
+        raise ValueError("bad fragment key %r" % text)
+    return frontier, key
 
 
 class KeyPieces(dict):
@@ -198,15 +173,13 @@ class KeyPieces(dict):
 
 def _canonical_frontier(text, pieces=None):
     """The frontier of a well-formed canonical key, or None for any other
-    text, which _read_key then reads token by token.
+    text, which _read_key then rejoins from its tokens.
 
     A canonical key splits at its spaces into pieces of three kinds (see
     _piece). A word piece must follow an opening one, which makes the word
     its node's only child, and the root's closing bracket must be the
     key's last. pieces is a `KeyPieces` to read them through, or None.
     """
-    if not text.isprintable():     # the space is the only printable blank
-        return None
     if pieces is None:
         pieces = KeyPieces()
     split = text.split(" ")
@@ -243,7 +216,9 @@ def _piece(piece):
     "(label", which opens a node with children; (depth change, site, False)
     for "(label)" and (depth change, word, True) for "word)", each followed
     by the closes of its ancestors; None for a piece no canonical key
-    holds."""
+    holds, such as one that is empty or holds a blank."""
+    if piece.split() != [piece]:
+        return None
     end = piece.find(")")
     if end < 0:
         if piece.rfind("(") != 0 or len(piece) == 1:

@@ -56,17 +56,16 @@ class ModelFormatError(ValueError):
     pass
 
 
-def _fraction(text) -> Fraction:
-    """A Fraction from "a/b" or "n", built from its two integers."""
+def _parse_num(text):
+    """An int from "n", or a Fraction from "a/b" built from its two
+    integers."""
     numerator, slash, denominator = text.partition("/")
-    denominator = int(denominator) if slash else 1
+    if not slash:
+        return int(numerator)
+    denominator = int(denominator)
     if denominator == 0:
         raise ValueError("%r has a zero denominator" % text)
     return Fraction(int(numerator), denominator)
-
-
-def _parse_num(text):
-    return _fraction(text) if "/" in text else int(text)
 
 
 def _probability(text) -> Fraction:
@@ -188,7 +187,7 @@ def read_model(text, probability=_probability):
                 if total <= 0:
                     raise ValueError("root %s has total %s, not above 0"
                                      % (fields[1], fields[3]))
-                mass = reserved[fields[1]] = _fraction(fields[4])
+                mass = reserved[fields[1]] = _parse_num(fields[4])
                 if not 0 <= mass < 1:
                     raise ValueError("root %s reserves %s, not in [0, 1)"
                                      % (fields[1], fields[4]))
@@ -239,7 +238,7 @@ def _entry_rows(lines, roots, root_totals, probability):
         except ValueError:
             raise ModelFormatError("line %d: bad entry row" % lineno) from None
         try:
-            _, frontier, text = _read_key(text, pieces=pieces)
+            frontier, text = _read_key(text, pieces=pieces)
             number = read_counts.get(count)
             if number is None:
                 number = read_counts[count] = _parse_num(count)

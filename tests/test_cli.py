@@ -212,6 +212,8 @@ def test_parse_zero_n_best_is_data_error_without_sentences(toy_paths,
 @pytest.mark.parametrize("flag, value, message", [
     ("--prune-ratio", "0", "prune_ratio must be in (0, 1]"),
     ("--n-best", "0", "n_best must be >= 1"),
+    ("--workers", "0", "workers must be >= 1"),
+    ("--workers", "-1", "workers must be >= 1"),
 ])
 def test_bad_parse_setting_is_reported_before_the_input_is_read(
         toy_paths, tmp_path, capsys, flag, value, message):
@@ -299,6 +301,7 @@ def test_cli_import_leaves_oracle_out():
 @pytest.mark.parametrize("flag, value, message", [
     ("--prune-ratio", "0", "prune_ratio must be in (0, 1]"),
     ("--n-best", "0", "n_best must be >= 1"),
+    ("--workers", "0", "workers must be >= 1"),
 ])
 def test_bad_parse_setting_fails_before_workers_start(toy_paths, tmp_path,
                                                       flag, value, message):
@@ -327,6 +330,47 @@ def test_parse_workers(toy_paths, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "(S (NP john) (VP (V likes) (NP mary)))"
     assert lines[1] == "(S (NP peter) (VP (V hates) (NP susan)))"
+
+
+def test_pool_holds_no_more_workers_than_sentences(toy_paths, tmp_path,
+                                                   monkeypatch):
+    # a pool that records its size and maps in this process: no worker
+    # process is started
+    import multiprocessing
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return list(map(func, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(dop.cli, "_WORKER_STATE", {})
+    _, model_path = toy_paths
+    lines = ["john likes mary", "peter hates susan", "mary likes john"]
+    sents = tmp_path / "sents.txt"
+    out = tmp_path / "out.txt"
+    for count, workers, pooled in ((2, "8", [2]), (3, "2", [2]),
+                                   (1, "8", []), (3, "1", [])):
+        sents.write_text("".join(line + "\n" for line in lines[:count]))
+        outputs = []
+        for flags in ([], ["--workers", workers]):
+            assert main(["parse", "--model", str(model_path), "--input",
+                         str(sents), "--output", str(out)] + flags) == 0
+            outputs.append(out.read_bytes())
+        assert sizes == pooled
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"(S ") == count
+        sizes.clear()
 
 
 def test_serial_parse_releases_model(toy_paths, monkeypatch):

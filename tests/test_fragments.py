@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 import time
 from collections import Counter
 
@@ -647,16 +648,69 @@ def test_headword_matches_structure_walk_on_sampled_model():
     assert None in heads and len(heads) > 2
 
 
+# Reference for the key reader: the token-by-token stack reader that
+# builds the structure as it goes. _read_key, and the structure walk, must
+# agree with it on any text.
+
+def _reference_read_key(text):
+    """(structure, frontier, canonical key) of a bracketed key."""
+    def fail(msg):
+        raise ValueError("bad fragment key %r: %s" % (text, msg))
+
+    tokens = re.findall(r"[()]|[^\s()]+", text)
+    if not tokens or tokens[0] != "(":
+        fail("expected '('")
+    last = len(tokens) - 1
+    frontier = []
+    stack = []               # (label, children) of each open node
+    want_label = False
+    for pos, tok in enumerate(tokens):
+        if want_label:
+            if tok == "(" or tok == ")":
+                fail("expected label")
+            stack.append((tok, []))
+            want_label = False
+        elif tok == "(":
+            want_label = True
+        elif tok == ")":
+            label, children = stack.pop()
+            if not children:
+                node = Site(label)
+                frontier.append(node)
+            else:
+                node = Tree(label, children)
+            if stack:
+                stack[-1][1].append(node)
+            elif pos != last:
+                fail("trailing tokens")
+            elif not children:
+                fail("fragment must have at least one level")
+        else:
+            # tokens[pos - 1] is then the label of the word's node
+            if tokens[pos - 2] != "(" or tokens[pos + 1:pos + 2] != [")"]:
+                fail("a word must be the only child of its node")
+            stack[-1][1].append(tok)
+            frontier.append(tok)
+    if want_label:
+        fail("expected label")
+    if stack:
+        fail("unbalanced")
+    key = " ".join(tokens).replace("( ", "(").replace(" )", ")")
+    return node, tuple(frontier), key
+
+
 def test_canonical_reader_agrees_with_token_reader():
-    # keys in canonical form take a shortcut through _read_key; on every
-    # text, it must give what the token-by-token reading gives, or fail
-    # where that fails
+    # every text is read piece by piece, rejoined from its tokens when it
+    # is not canonical; it must give what the token-by-token reading
+    # gives, or fail where that fails
     from dop.fragments import _read_key
     rng = random.Random(41)
+    alphabet = "() \tx\u00ad\x01\x85\xa0"
     texts = ["(S (NP john) (VP))", "(S (NP) (VP)) (X y)", "(S (NP)) x",
              "(S (A w) (B x)) ", "(S (A w)(B x))", "(S\t(A w))", "(S (A) w)",
              "(S w x)", "(S (A w)))", "((S (A w))", "(S ( A w))", "(S)",
-             "(S (A w) )", "(S (A w) (B))", "(S (A (B (C w)) (D)))"]
+             "(S (A w) )", "(S (A w) (B))", "(S (A (B (C w)) (D)))",
+             "(NP\t a)"]
     for _ in range(60):
         tree = random_tree(rng, max_internal=10)
         for fragment in extract_all(tree):
@@ -668,15 +722,20 @@ def test_canonical_reader_agrees_with_token_reader():
                 if op == 0:
                     del chars[i]
                 elif op == 1:
-                    chars.insert(i, rng.choice("() \tx"))
+                    chars.insert(i, rng.choice(alphabet))
                 else:
-                    chars[i] = rng.choice("() \tx")
+                    chars[i] = rng.choice(alphabet)
                 texts.append("".join(chars))
     for text in texts:
         try:
-            expected = _read_key(text, build=True)[1:]
+            structure, frontier, key = _reference_read_key(text)
         except ValueError:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="bad fragment key"):
                 _read_key(text)
+            with pytest.raises(ValueError, match="bad fragment key"):
+                Fragment(text).structure
         else:
-            assert _read_key(text)[1:] == expected, text
+            assert _read_key(text) == (frontier, key), text
+            assert write_tree(Fragment(text).structure) == write_tree(
+                structure) == key, text
+            assert Fragment.from_string(text).depth == structure.depth(), text
