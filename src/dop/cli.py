@@ -2,14 +2,16 @@
 
 Commands: train, parse, experiment, score, oracle. Exit codes: 0 success,
 1 usage error, 2 data error. All options can also come from a --config
-file of key=value lines; explicit command-line values win. `dop parse` and
-`dop experiment` check their parse settings first, then read the
-sentences they will parse, then build their parser from the model file's
-rows through one function, `_sentence_parser`: only the rows whose
-frontier words all occur in those sentences become rules (see
-`parser.SentenceParser`), neither command holds a model while
-parsing, and each sentence's n-best search stops once its parse is
-decided (`--n-best` is a cap).
+file of key=value lines; explicit command-line values win. `dop train` and
+`dop experiment` check their training settings before they read a
+treebank, and `dop train` frees the treebank before it builds the model
+(see `_read_training`). `dop parse` and `dop experiment` check their
+parse settings first, then read the sentences they will parse, then
+build their parser from the model file's rows through one function,
+`_sentence_parser`: only the rows whose frontier words all occur in
+those sentences become rules (see `parser.SentenceParser`), neither
+command holds a model while parsing, and each sentence's n-best search
+stops once its parse is decided (`--n-best` is a cap).
 
 Every command runs with Python's cycle collector off, set once in `main`
 and back as the caller had it when `main` returns. Trees, fragments,
@@ -117,7 +119,12 @@ class _Options:
         return _bound(self._raw(name))
 
     def integer(self, name):
-        return int(self._raw(name))
+        text = self._raw(name)
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError("%s must be an integer, not %r"
+                             % (name, text)) from None
 
     def floating(self, name):
         return float(self._raw(name))
@@ -256,31 +263,70 @@ def collect_fragments(treebank, restriction, seed, cache=None):
     return fragments, depth_counts
 
 
-def _train_model(treebank, restriction, options, cache=None):
-    rules = _load_head_rules(options)
+def _training_settings(options):
+    """(seed, smoothing, unknown-word threshold, head rules), checked before
+    any file is read, so that a bad setting fails the command whatever the
+    input, and a sweep once rather than at each grid point."""
     seed = options.integer("seed")
+    smoothing = options.smoothing()
+    threshold = options.integer("unknown_threshold")
+    if threshold < 1:
+        raise ValueError("unknown_threshold must be >= 1")
+    return seed, smoothing, threshold, _load_head_rules(options)
+
+
+def _read_training(treebank, restriction, seed, threshold, cache=None):
+    """What training reads from the treebank: (fragment counts, tokens per
+    depth, start labels, unknown-word model). The last is the GrammarError
+    that skipped the model when no word is rare, without its traceback,
+    whose frames would hold the treebank."""
     fragments, depth_counts = collect_fragments(treebank, restriction,
                                                 seed, cache=cache)
     start_labels = frozenset(tree.label for tree in treebank.trees)
+    try:
+        unknown = train_unknown_model(treebank, threshold)
+    except GrammarError as err:
+        unknown = err.with_traceback(None)
+    return fragments, depth_counts, start_labels, unknown
+
+
+def _finish_model(model, unknown, smoothing):
+    """The built model, smoothed if asked, with its unknown-word model. A
+    skipped unknown-word model is reported here, once the model is built,
+    as when it was trained last."""
+    if smoothing:
+        model = good_turing_adjust(model)
+    if isinstance(unknown, GrammarError):
+        print("unknown-word model skipped: %s" % unknown, file=sys.stderr)
+    else:
+        model.unknown_words = unknown
+    return model
+
+
+def _train_model(treebank, restriction, options, cache=None):
+    seed, smoothing, threshold, rules = _training_settings(options)
+    fragments, depth_counts, start_labels, unknown = _read_training(
+        treebank, restriction, seed, threshold, cache=cache)
     model = build_model(fragments, restriction, rules,
                         start_labels=start_labels)
-    if options.smoothing():
-        model = good_turing_adjust(model)
-    try:
-        model.unknown_words = train_unknown_model(
-            treebank, options.integer("unknown_threshold"))
-    except GrammarError as err:
-        print("unknown-word model skipped: %s" % err, file=sys.stderr)
-    return model, depth_counts
+    return _finish_model(model, unknown, smoothing), depth_counts
 
 
 def cmd_train(args) -> int:
     options = _Options(args)
+    restriction = options.restriction()
+    seed, smoothing, threshold, rules = _training_settings(options)
     treebank = _read_normalized_treebank(args.train)
-    model, depth_counts = _train_model(treebank, options.restriction(),
-                                       options)
-    # the trees and their cached node lists go before the write's peak
+    fragments, depth_counts, start_labels, unknown = _read_training(
+        treebank, restriction, seed, threshold)
+    # the trees and their cached node lists go before the model is built,
+    # and the fragment counts, whose passing fragments the entries hold,
+    # before it is smoothed
     del treebank
+    model = build_model(fragments, restriction, rules,
+                        start_labels=start_labels)
+    del fragments
+    model = _finish_model(model, unknown, smoothing)
     write_model(model, args.model)
     for depth in sorted(depth_counts):
         print("depth %d: %d fragment tokens" % (depth, depth_counts[depth]))
@@ -402,9 +448,7 @@ def cmd_experiment(args) -> int:
         raw = raw.strip()
         grid.append((raw, dataclasses.replace(base, **{field: _bound(raw)})))
     # a bad option fails the command here, not every grid point
-    options.smoothing()
-    options.integer("seed")
-    options.integer("unknown_threshold")
+    _training_settings(options)
     n_best, prune_ratio, workers = _parse_settings(options)
 
     os.makedirs(args.out, exist_ok=True)

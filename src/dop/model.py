@@ -10,6 +10,7 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .fragments import Fragment, RestrictionSet, passes
 from .heads import HeadRuleTable
@@ -102,33 +103,42 @@ def build_model(fragments: Counter, restriction: RestrictionSet,
     Fragments failing the restriction are dropped here regardless of what
     the caller filtered. start_labels defaults to every observed root
     label; the trainer passes the actual treebank roots.
+
+    The fragments that pass are read through a mask over the caller's
+    counts, not copied into a second table, and the entries of one root
+    with one count share one probability: a model has few distinct ones.
     """
-    kept = {fragment: count for fragment, count in fragments.items()
-            if passes(fragment, restriction, rules)}
-    if not kept:
+    mask = bytearray(passes(fragment, restriction, rules)
+                     for fragment in fragments)
+    if not any(mask):
         raise GrammarError("no fragments pass the restriction; empty grammar")
 
     root_totals = Counter()
-    for fragment, count in kept.items():
+    for fragment, count in compress(fragments.items(), mask):
         root_totals[fragment.root] += count
 
     entries = {}
-    for fragment, count in kept.items():
-        entries[fragment.key] = ModelEntry(
-            fragment, count, Fraction(count, root_totals[fragment.root]))
+    shares = {}                # (root, count) -> its probability
+    for fragment, count in compress(fragments.items(), mask):
+        root = fragment.root
+        share = shares.get((root, count))
+        if share is None:
+            share = shares[root, count] = Fraction(count, root_totals[root])
+        entries[fragment.key] = ModelEntry(fragment, count, share)
 
     if start_labels is None:
         start_labels = frozenset(root_totals)
     return FragmentModel(entries=entries, root_totals=dict(root_totals),
                          restriction=restriction,
                          start_labels=frozenset(start_labels),
-                         priors=_priors(kept, root_totals))
+                         priors=_priors(compress(fragments.items(), mask),
+                                        root_totals))
 
 
-def _priors(fragments: dict, root_totals) -> dict:
+def _priors(pairs, root_totals) -> dict:
     # relative node-label frequency, read off the depth-1 fragment counts
     counts = Counter()
-    for fragment, count in fragments.items():
+    for fragment, count in pairs:
         if fragment.depth == 1:
             counts[fragment.root] += count
     if not counts:
@@ -172,10 +182,10 @@ def good_turing_adjust(model: FragmentModel) -> FragmentModel:
         count_of_counts = Counter(e.count for e in group)
         n1 = count_of_counts.get(1, 0)
         if len(group) == 1 or n1 == total:
+            shares = {r: Fraction(r, total) for r in count_of_counts}
             for entry in group:
                 new_entries[entry.fragment.key] = ModelEntry(
-                    entry.fragment, entry.count,
-                    Fraction(entry.count, total))
+                    entry.fragment, entry.count, shares[entry.count])
             new_totals[root] = total
             reserved[root] = Fraction(0)
             continue
@@ -189,11 +199,14 @@ def good_turing_adjust(model: FragmentModel) -> FragmentModel:
                 adjusting = False
                 adjusted[r] = Fraction(r)
         p0 = Fraction(n1, total)
-        new_total = sum(adjusted[e.count] for e in group)
+        new_total = sum(adjusted[r] * n for r, n in count_of_counts.items())
+        # one probability per adjusted count, shared by its entries
+        shares = {star: (1 - p0) * star / new_total
+                  for star in set(adjusted.values())}
         for entry in group:
             star = adjusted[entry.count]
             new_entries[entry.fragment.key] = ModelEntry(
-                entry.fragment, star, (1 - p0) * star / new_total)
+                entry.fragment, star, shares[star])
         new_totals[root] = new_total
         reserved[root] = p0
     return FragmentModel(entries=new_entries, root_totals=new_totals,

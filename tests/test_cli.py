@@ -229,6 +229,44 @@ def test_bad_parse_setting_is_reported_before_the_input_is_read(
     assert "missing.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "experiment"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "x", "seed must be an integer, not 'x'"),
+    ("--config", "smoothing=maybe", "--smoothing must be on or off"),
+    ("--unknown-threshold", "0", "unknown_threshold must be >= 1"),
+    ("--unknown-threshold", "-1", "unknown_threshold must be >= 1"),
+    ("--unknown-threshold", "x",
+     "unknown_threshold must be an integer, not 'x'"),
+    ("--head-rules", "nosuch-head-rules.txt",
+     "[Errno 2] No such file or directory: 'nosuch-head-rules.txt'"),
+])
+def test_bad_training_setting_is_reported_before_the_input_is_read(
+        tmp_path, capsys, command, flag, value, message):
+    # `dop train` and `dop experiment` check their training settings before
+    # they read a treebank, and a sweep writes no table of failed points
+    if flag == "--config":
+        # a config file can hold a value that --smoothing's choices refuse
+        config = tmp_path / "bad.conf"
+        config.write_text(value + "\n")
+        value = str(config)
+    missing = tmp_path / "missing.mrg"
+    out = tmp_path / "exp"
+    argv = {"train": ["train", "--train", str(missing),
+                      "--model", str(tmp_path / "m")],
+            "experiment": ["experiment", "--train", str(missing),
+                           "--test", str(missing), "--sweep", "depth",
+                           "--values", "1,2", "--out", str(out)]}[command]
+    for bank in (None, TOY_CORPUS):
+        if bank:
+            missing.write_text(bank)
+        assert main(argv + [flag, value]) == 2
+        assert capsys.readouterr().err == "dop %s: %s\n" % (command, message)
+        assert not (tmp_path / "m").exists() and not out.exists()
+    missing.unlink()
+    assert main(argv) == 2
+    assert "missing.mrg" in capsys.readouterr().err
+
+
 def test_parse_builds_rules_for_the_input_words_only(toy_paths, tmp_path,
                                                      monkeypatch):
     # the parser `dop parse` builds is given the words of its input; one
@@ -774,6 +812,61 @@ def test_train_model_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert model.unknown_words is not None
+
+
+def test_train_frees_the_treebank_before_building_the_model(tmp_path,
+                                                           monkeypatch):
+    # the fragment counts, start labels and unknown-word model are read
+    # first: no Treebank, nor its cached node and height lists, is alive
+    # while the model is built
+    read = dop.cli._read_normalized_treebank
+    build = dop.cli.build_model
+    banks = []
+    alive = []
+
+    def reading(path):
+        bank = read(path)
+        banks.append(weakref.ref(bank))
+        return bank
+
+    def building(*args, **kwargs):
+        alive.append([bank() is not None for bank in banks])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dop.cli, "_read_normalized_treebank", reading)
+    monkeypatch.setattr(dop.cli, "build_model", building)
+    train = tmp_path / "toy.mrg"
+    train.write_text(TOY_CORPUS)
+    for smoothing in ("off", "on"):
+        model = tmp_path / ("toy-%s.dopmodel" % smoothing)
+        assert main(["train", "--train", str(train), "--model", str(model),
+                     "--max-depth", "3", "--sample-per-depth", "none",
+                     "--smoothing", smoothing]) == 0
+        assert load_model(model).unknown_words is not None
+    assert alive == [[False], [False, False]]
+
+
+def test_skipped_unknown_model_is_reported_after_the_model_is_built(
+        tmp_path, capsys):
+    # no word is rare at --unknown-threshold 1: the model is written without
+    # an unknown-word model, and the line saying so is printed only when
+    # the model was built
+    train = tmp_path / "twice.mrg"
+    train.write_text(TOY_CORPUS * 2)
+    model = tmp_path / "m"
+    argv = ["train", "--train", str(train), "--model", str(model),
+            "--unknown-threshold", "1", "--sample-per-depth", "none"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "unknown-word model skipped: no words occur <= 1 times; raise the "
+        "rarity threshold\n")
+    assert load_model(model).unknown_words is None
+    # and none when no fragment passes: a tree of one preterminal has only
+    # fragments with a frontier word
+    train.write_text("(X a)\n(X a)\n")
+    assert main(argv + ["--max-frontier-words", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "dop train: no fragments pass the restriction; empty grammar\n")
 
 
 def _command_argv(command, tmp_path, train, model):

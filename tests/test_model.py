@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from dop import (Fragment, GrammarError, RestrictionSet, build_model,
-                 derivation_probability, extract_all, extract_treebank,
-                 good_turing_adjust, read_treebank, train_unknown_model)
-from dop.model import word_features
+                 default_head_rules, derivation_probability, extract_all,
+                 extract_treebank, good_turing_adjust, read_treebank,
+                 train_unknown_model)
+from dop.fragments import passes
+from dop.model import FragmentModel, ModelEntry, word_features
+from dop.modelio import model_to_text
 from dop.tree import Treebank
-from conftest import TOY_HEAD_RULES, random_tree
+from conftest import TOY_HEAD_RULES, random_tree, synthetic_treebank
 
 
 def frag(text):
@@ -258,3 +261,147 @@ def test_unknown_no_rare_words():
     bank = read_treebank("(S (X a) (X a))\n(S (X a) (X a))\n")
     with pytest.raises(GrammarError):
         train_unknown_model(bank, threshold=1)
+
+
+def _reference_build_model(fragments, restriction, rules, start_labels=None):
+    # the filtered copy and one Fraction per entry, as build_model was
+    # before it read the counts through a pass mask
+    kept = {fragment: count for fragment, count in fragments.items()
+            if passes(fragment, restriction, rules)}
+    if not kept:
+        raise GrammarError("no fragments pass the restriction; empty grammar")
+    root_totals = Counter()
+    for fragment, count in kept.items():
+        root_totals[fragment.root] += count
+    entries = {}
+    for fragment, count in kept.items():
+        entries[fragment.key] = ModelEntry(
+            fragment, count, Fraction(count, root_totals[fragment.root]))
+    if start_labels is None:
+        start_labels = frozenset(root_totals)
+    counts = Counter()
+    for fragment, count in kept.items():
+        if fragment.depth == 1:
+            counts[fragment.root] += count
+    total = sum(counts.values())
+    priors = ({label: Fraction(c, total) for label, c in counts.items()}
+              if counts else
+              {label: Fraction(1, len(root_totals)) for label in root_totals})
+    return FragmentModel(entries=entries, root_totals=dict(root_totals),
+                         restriction=restriction,
+                         start_labels=frozenset(start_labels), priors=priors)
+
+
+def _reference_good_turing_adjust(model):
+    # three Fraction operations per entry, as good_turing_adjust was before
+    # it shared one probability per adjusted count
+    new_entries, new_totals, reserved = {}, {}, {}
+    for root, group in sorted(model.by_root().items()):
+        total = model.root_totals[root]
+        count_of_counts = Counter(e.count for e in group)
+        n1 = count_of_counts.get(1, 0)
+        if len(group) == 1 or n1 == total:
+            for entry in group:
+                new_entries[entry.fragment.key] = ModelEntry(
+                    entry.fragment, entry.count, Fraction(entry.count, total))
+            new_totals[root] = total
+            reserved[root] = Fraction(0)
+            continue
+        adjusted = {}
+        adjusting = True
+        for r in sorted(count_of_counts):
+            if adjusting and count_of_counts.get(r + 1, 0) > 0:
+                adjusted[r] = Fraction((r + 1) * count_of_counts[r + 1],
+                                       count_of_counts[r])
+            else:
+                adjusting = False
+                adjusted[r] = Fraction(r)
+        p0 = Fraction(n1, total)
+        new_total = sum(adjusted[e.count] for e in group)
+        for entry in group:
+            star = adjusted[entry.count]
+            new_entries[entry.fragment.key] = ModelEntry(
+                entry.fragment, star, (1 - p0) * star / new_total)
+        new_totals[root] = new_total
+        reserved[root] = p0
+    return FragmentModel(entries=new_entries, root_totals=new_totals,
+                         restriction=model.restriction,
+                         start_labels=model.start_labels,
+                         priors=model.priors, smoothed=True,
+                         reserved_mass=reserved,
+                         unknown_words=model.unknown_words)
+
+
+def _assert_same_model(model, reference):
+    assert list(model.entries) == list(reference.entries)
+    for key, entry in model.entries.items():
+        expected = reference.entries[key]
+        assert entry.fragment == expected.fragment
+        assert (entry.count, type(entry.count)) == \
+            (expected.count, type(expected.count))
+        assert entry.probability == expected.probability
+        assert type(entry.probability) is Fraction
+    for name in ("root_totals", "priors", "reserved_mass"):
+        assert list(getattr(model, name).items()) == \
+            list(getattr(reference, name).items())
+    assert model.start_labels == reference.start_labels
+    assert model.smoothed == reference.smoothed
+    assert model_to_text(model) == model_to_text(reference)
+
+
+def _distinct_probabilities(model):
+    return len({id(e.probability) for e in model.entries.values()})
+
+
+def _distinct_root_counts(model):
+    return len({(e.fragment.root, e.count) for e in model.entries.values()})
+
+
+# each bound low enough that the synthetic banks lose fragments to it
+_LOW_BOUNDS = [RestrictionSet(max_depth=2),
+               RestrictionSet(max_frontier_words=1),
+               RestrictionSet(max_unlex_depth=1),
+               RestrictionSet(max_nonheadwords=0)]
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_models_share_one_probability_per_root_and_count(seed):
+    from dop.cli import collect_fragments
+    bank = synthetic_treebank(40, seed=seed)
+    fragments, _ = collect_fragments(
+        bank, RestrictionSet(max_depth=4, sample_per_depth=300), seed)
+    before = Counter(fragments)
+    start_labels = frozenset(tree.label for tree in bank.trees)
+    for restriction in [RestrictionSet()] + _LOW_BOUNDS:
+        model = build_model(fragments, restriction, default_head_rules(),
+                            start_labels=start_labels)
+        reference = _reference_build_model(
+            fragments, restriction, default_head_rules(),
+            start_labels=start_labels)
+        if restriction != RestrictionSet():
+            assert len(model.entries) < len(fragments)
+        _assert_same_model(model, reference)
+        assert _distinct_probabilities(model) == _distinct_root_counts(model)
+        assert _distinct_root_counts(model) < len(model.entries)
+
+        smoothed = good_turing_adjust(model)
+        _assert_same_model(smoothed,
+                           _reference_good_turing_adjust(reference))
+        assert _distinct_probabilities(smoothed) == \
+            _distinct_root_counts(smoothed)
+    # the counts are read, not filtered in place
+    assert fragments == before and list(fragments) == list(before)
+
+
+def test_good_turing_shares_across_equal_adjusted_counts():
+    # N1=2, N2=3, N3=1: 1 and 3 both adjust to 3, and 2 to 1; the entries
+    # of one adjusted count share one probability
+    counts = {"a": 1, "b": 1, "c": 2, "d": 2, "e": 2, "f": 3}
+    fragments = Counter({frag("(X %s)" % word): count
+                         for word, count in counts.items()})
+    model = build_model(fragments, RestrictionSet(), TOY_HEAD_RULES)
+    smoothed = good_turing_adjust(model)
+    _assert_same_model(smoothed, _reference_good_turing_adjust(model))
+    stars = {key[3]: e.count for key, e in smoothed.entries.items()}
+    assert stars == {"a": 3, "b": 3, "c": 1, "d": 1, "e": 1, "f": 3}
+    assert _distinct_probabilities(smoothed) == 2
