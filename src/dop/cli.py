@@ -78,12 +78,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _bound(text):
-    if text in ("none", "unbounded", "-"):
-        return None
-    return int(text)
-
-
 def _read_config(path):
     values = {}
     with open(path, encoding="utf8") as handle:
@@ -115,19 +109,20 @@ class _Options:
             return self.config[name]
         return _DEFAULTS.get(name)
 
-    def bound(self, name):
-        return _bound(self._raw(name))
-
-    def integer(self, name):
-        text = self._raw(name)
+    def setting(self, name, kind, text=None):
+        """The named setting, or text when given, read as kind: int, float,
+        or "bound", an int or None for none, unbounded or -. A value that
+        does not read so is a ValueError that names the setting."""
+        text = self._raw(name) if text is None else text
+        if kind == "bound" and text in ("none", "unbounded", "-"):
+            return None
         try:
-            return int(text)
+            return (int if kind == "bound" else kind)(text)
         except ValueError:
-            raise ValueError("%s must be an integer, not %r"
-                             % (name, text)) from None
-
-    def floating(self, name):
-        return float(self._raw(name))
+            expected = {int: "an integer", float: "a number"}.get(
+                kind, "an integer or none")
+            raise ValueError("%s must be %s, not %r"
+                             % (name, expected, text)) from None
 
     def smoothing(self):
         value = self._raw("smoothing")
@@ -136,12 +131,9 @@ class _Options:
         return value == "on"
 
     def restriction(self):
-        return RestrictionSet(
-            max_depth=self.bound("max_depth"),
-            max_frontier_words=self.bound("max_frontier_words"),
-            max_unlex_depth=self.bound("max_unlex_depth"),
-            max_nonheadwords=self.bound("max_nonheadwords"),
-            sample_per_depth=self.bound("sample_per_depth"))
+        return RestrictionSet(**{
+            field.name: self.setting(field.name, "bound")
+            for field in dataclasses.fields(RestrictionSet)})
 
 
 def _add_restriction_flags(parser):
@@ -267,9 +259,9 @@ def _training_settings(options):
     """(seed, smoothing, unknown-word threshold, head rules), checked before
     any file is read, so that a bad setting fails the command whatever the
     input, and a sweep once rather than at each grid point."""
-    seed = options.integer("seed")
+    seed = options.setting("seed", int)
     smoothing = options.smoothing()
-    threshold = options.integer("unknown_threshold")
+    threshold = options.setting("unknown_threshold", int)
     if threshold < 1:
         raise ValueError("unknown_threshold must be >= 1")
     return seed, smoothing, threshold, _load_head_rules(options)
@@ -320,8 +312,8 @@ def cmd_train(args) -> int:
     fragments, depth_counts, start_labels, unknown = _read_training(
         treebank, restriction, seed, threshold)
     # the trees and their cached node lists go before the model is built,
-    # and the fragment counts, whose passing fragments the entries hold,
-    # before it is smoothed
+    # and the fragment counts, whose entries hold only their keys, before
+    # it is smoothed
     del treebank
     model = build_model(fragments, restriction, rules,
                         start_labels=start_labels)
@@ -395,13 +387,13 @@ def _parse_corpus(parser, sentences, workers):
 def _parse_settings(options):
     """(n_best, prune_ratio, workers), checked before any file is read, so
     that a bad setting fails the command whatever the input."""
-    n_best = options.integer("n_best")
+    n_best = options.setting("n_best", int)
     if n_best < 1:
         raise ValueError("n_best must be >= 1")
-    prune_ratio = options.floating("prune_ratio")
+    prune_ratio = options.setting("prune_ratio", float)
     if not 0.0 < prune_ratio <= 1.0:
         raise ValueError("prune_ratio must be in (0, 1]")
-    workers = options.integer("workers")
+    workers = options.setting("workers", int)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return n_best, prune_ratio, workers
@@ -444,9 +436,9 @@ def cmd_experiment(args) -> int:
     field = _SWEEP_FIELDS[args.sweep]
     base = options.restriction()
     grid = []
-    for raw in args.values.split(","):
-        raw = raw.strip()
-        grid.append((raw, dataclasses.replace(base, **{field: _bound(raw)})))
+    for raw in map(str.strip, args.values.split(",")):
+        bound = options.setting(field, "bound", raw)
+        grid.append((raw, dataclasses.replace(base, **{field: bound})))
     # a bad option fails the command here, not every grid point
     _training_settings(options)
     n_best, prune_ratio, workers = _parse_settings(options)
@@ -538,7 +530,7 @@ def cmd_oracle(args) -> int:
         sentences = [args.sentence.split()]
     else:
         sentences = _read_sentences(args.input)
-    cap = options.integer("cap")
+    cap = options.setting("cap", int)
     for index, words in enumerate(sentences):
         report = enumerate_derivations(model, words, cap=cap)
         print("# sentence %d: %s (%d derivations)"

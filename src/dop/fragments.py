@@ -82,7 +82,7 @@ class Fragment:
 
     @property
     def root(self) -> str:
-        return self.key[1:self.key.index(" ")]
+        return key_root(self.key)
 
     @property
     def depth(self) -> int:
@@ -140,6 +140,11 @@ class Fragment:
 
     def __str__(self):
         return self.key
+
+
+def key_root(key: str) -> str:
+    """The root label of a canonical key."""
+    return key[1:key.index(" ")]
 
 
 def _read_key(text, pieces=None):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
-from .fragments import Fragment, RestrictionSet, passes
+from .fragments import RestrictionSet, key_root, passes
 from .heads import HeadRuleTable
 from .tree import Treebank
 
@@ -25,7 +25,7 @@ class GrammarError(ValueError):
 
 @dataclass(slots=True)
 class ModelEntry:
-    fragment: Fragment
+    key: str                 # the fragment's canonical key
     count: object            # int, or Fraction after smoothing
     probability: Fraction
 
@@ -91,8 +91,8 @@ class FragmentModel:
 
     def by_root(self) -> dict:
         grouped = defaultdict(list)
-        for entry in self.entries.values():
-            grouped[entry.fragment.root].append(entry)
+        for key, entry in self.entries.items():
+            grouped[key_root(key)].append(entry)
         return grouped
 
 
@@ -107,6 +107,7 @@ def build_model(fragments: Counter, restriction: RestrictionSet,
     The fragments that pass are read through a mask over the caller's
     counts, not copied into a second table, and the entries of one root
     with one count share one probability: a model has few distinct ones.
+    An entry holds its fragment's key, not the Fragment.
     """
     mask = bytearray(passes(fragment, restriction, rules)
                      for fragment in fragments)
@@ -124,7 +125,7 @@ def build_model(fragments: Counter, restriction: RestrictionSet,
         share = shares.get((root, count))
         if share is None:
             share = shares[root, count] = Fraction(count, root_totals[root])
-        entries[fragment.key] = ModelEntry(fragment, count, share)
+        entries[fragment.key] = ModelEntry(fragment.key, count, share)
 
     if start_labels is None:
         start_labels = frozenset(root_totals)
@@ -184,8 +185,8 @@ def good_turing_adjust(model: FragmentModel) -> FragmentModel:
         if len(group) == 1 or n1 == total:
             shares = {r: Fraction(r, total) for r in count_of_counts}
             for entry in group:
-                new_entries[entry.fragment.key] = ModelEntry(
-                    entry.fragment, entry.count, shares[entry.count])
+                new_entries[entry.key] = ModelEntry(
+                    entry.key, entry.count, shares[entry.count])
             new_totals[root] = total
             reserved[root] = Fraction(0)
             continue
@@ -205,8 +206,7 @@ def good_turing_adjust(model: FragmentModel) -> FragmentModel:
                   for star in set(adjusted.values())}
         for entry in group:
             star = adjusted[entry.count]
-            new_entries[entry.fragment.key] = ModelEntry(
-                entry.fragment, star, shares[star])
+            new_entries[entry.key] = ModelEntry(entry.key, star, shares[star])
         new_totals[root] = new_total
         reserved[root] = p0
     return FragmentModel(entries=new_entries, root_totals=new_totals,

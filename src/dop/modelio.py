@@ -22,10 +22,11 @@ Keys are read back in canonical form: a key written with other spacing
 ``(S (NP john) (VP))``. A malformed row of any kind (a bad key, a field
 missing, a number that does not parse, a zero denominator, a probability
 or prior outside (0, 1], a root total or an entry or unkstat count not
-above 0, a reserved mass outside [0, 1), a second root or prior row for
-one label, an entry not strictly after the one before it in (root,
-canonical key) order, such as a repeated one) is reported with its line
-number, and prior rows that do not sum to exactly 1 on the last one's.
+above 0, an unkstat flag other than 0 or 1, an unk threshold below 1, a
+reserved mass outside [0, 1), a second root or prior row for one label,
+an entry not strictly after the one before it in (root, canonical key)
+order, such as a repeated one) is reported with its line number, and
+prior rows that do not sum to exactly 1 on the last one's.
 Once the entry rows are read, each root's rows are checked against its
 root row, their number and their count sum: a mismatch is reported on the
 root row's line, and a root with entry rows but no root row on its first
@@ -33,8 +34,9 @@ entry row's line. Head rules are not stored: they decide which fragments
 pass the restriction at training time, and a loaded model has no use for
 them.
 `read_model` is the file's one reader, and yields each entry row as key
-text: `model_from_text` makes a `ModelEntry` over a `Fragment` of each
-key, and `parser.SentenceParser` a rule, with no `Fragment`.
+text: `model_from_text` makes a `ModelEntry` of each key, count and
+probability, and `parser.SentenceParser` a rule. Neither builds a
+`Fragment`, and the writer reads each root from its key.
 """
 
 import gc
@@ -44,7 +46,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
-from .fragments import Fragment, KeyPieces, RestrictionSet, _read_key
+from .fragments import KeyPieces, RestrictionSet, _read_key, key_root
 from .model import FragmentModel, ModelEntry, UnknownWordModel
 
 _FORMAT_VERSION = "1"
@@ -91,8 +93,8 @@ def _model_lines(model: FragmentModel):
     for label in sorted(model.priors):
         yield "prior\t%s\t%s\n" % (label, model.priors[label])
     grouped = defaultdict(list)
-    for key, entry in model.entries.items():
-        grouped[entry.fragment.root].append(key)
+    for key in model.entries:
+        grouped[key_root(key)].append(key)
     for root in sorted(grouped):
         yield "root\t%s\t%d\t%s\t%s\n" % (
             root, len(grouped[root]), model.root_totals[root],
@@ -194,12 +196,18 @@ def read_model(text, probability=_probability):
                 roots[fields[1]] = (lineno, entries)
             elif tag == "unk":
                 unk_threshold = int(fields[1])
+                if unk_threshold < 1:
+                    raise ValueError("unk threshold %s is not at least 1"
+                                     % fields[1])
             elif tag == "unkstat":
-                suffix, caps, hyphen, digit, pos, count = fields[1:]
+                suffix, *flags, pos, count = fields[1:]
+                if not set(flags) <= {"0", "1"}:
+                    raise ValueError("unkstat flags %s are not each 0 or 1"
+                                     % " ".join(flags))
                 if int(count) < 1:
                     raise ValueError("unkstat count %s is not above 0" % count)
-                unk_stats[(suffix, bool(int(caps)), bool(int(hyphen)),
-                           bool(int(digit)))][pos] = int(count)
+                flags = (flag == "1" for flag in flags)
+                unk_stats[(suffix, *flags)][pos] = int(count)
             else:
                 raise ValueError("unknown record %r" % tag)
         except ValueError as err:
@@ -249,7 +257,7 @@ def _entry_rows(lines, roots, root_totals, probability):
                 value = read_probabilities[share] = probability(share)
         except ValueError as err:
             raise ModelFormatError("line %d: %s" % (lineno, err)) from None
-        label = text[1:text.index(" ")]
+        label = key_root(text)
         if label < root or label == root and text <= key:
             raise ModelFormatError(
                 "line %d: entry %s does not come after %s in (root, key) "
@@ -288,7 +296,7 @@ def _entry_rows(lines, roots, root_totals, probability):
 def model_from_text(text) -> FragmentModel:
     """A model read from its text or lines (see read_model)."""
     model, rows = read_model(text)
-    model.entries = {key: ModelEntry(Fragment(key), count, probability)
+    model.entries = {key: ModelEntry(key, count, probability)
                      for _, key, _, count, probability in rows}
     return model
 

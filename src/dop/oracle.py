@@ -123,11 +123,11 @@ def enumerate_derivations(model: FragmentModel, sentence,
     models with unary fragment cycles overflow instead of hanging.
     """
     sentence = tuple(sentence)
-    by_root = {}
+    by_root = {}             # root -> [(Fragment, probability)], in key order
     for key in sorted(model.entries):
-        entry = model.entries[key]
-        by_root.setdefault(entry.fragment.root, []).append(
-            (entry.fragment, entry.probability))
+        fragment = Fragment(key)
+        by_root.setdefault(fragment.root, []).append(
+            (fragment, model.entries[key].probability))
 
     derivations = []
     steps = 0

@@ -159,7 +159,7 @@ def test_criterion_4_depth1_equivalence():
     frequencies = _rule_frequencies(bank)
     assert len(model.entries) == len(frequencies)
     for entry in model.entries.values():
-        fragment = entry.fragment
+        fragment = Fragment(entry.key)
         rhs = tuple(item if isinstance(item, str) else item.label
                     for item in fragment.frontier)
         key = (fragment.root, rhs, fragment.frontier_word_count > 0)

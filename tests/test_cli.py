@@ -1,3 +1,4 @@
+import argparse
 import gc
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 import dop.cli
 import dop.parser
 from dop.cli import _parse_corpus, main
-from dop import (GrammarError, SentenceParser, load_model, read_trees,
-                 write_tree)
+from dop import (Fragment, GrammarError, SentenceParser, load_model,
+                 read_trees, write_tree)
 from dop.modelio import ModelFormatError, model_to_text
 from dop.tree import write_treebank
 from conftest import TOY_CORPUS, synthetic_treebank, unary_chain_model
@@ -61,7 +62,7 @@ def test_train_sampled_depths(tmp_path, capsys):
     assert "depth 2: 40 fragment tokens" in out
     assert "depth 3: 40 fragment tokens" in out
     model = load_model(model_path)
-    assert max(e.fragment.depth for e in model.entries.values()) <= 3
+    assert max(Fragment(key).depth for key in model.entries) <= 3
 
 
 def test_train_rewrite_is_byte_stable(toy_paths, tmp_path):
@@ -214,6 +215,7 @@ def test_parse_zero_n_best_is_data_error_without_sentences(toy_paths,
     ("--n-best", "0", "n_best must be >= 1"),
     ("--workers", "0", "workers must be >= 1"),
     ("--workers", "-1", "workers must be >= 1"),
+    ("--prune-ratio", "x", "prune_ratio must be a number, not 'x'"),
 ])
 def test_bad_parse_setting_is_reported_before_the_input_is_read(
         toy_paths, tmp_path, capsys, flag, value, message):
@@ -229,8 +231,7 @@ def test_bad_parse_setting_is_reported_before_the_input_is_read(
     assert "missing.txt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "experiment"])
-@pytest.mark.parametrize("flag, value, message", [
+_BAD_TRAINING_SETTINGS = [
     ("--seed", "x", "seed must be an integer, not 'x'"),
     ("--config", "smoothing=maybe", "--smoothing must be on or off"),
     ("--unknown-threshold", "0", "unknown_threshold must be >= 1"),
@@ -239,7 +240,18 @@ def test_bad_parse_setting_is_reported_before_the_input_is_read(
      "unknown_threshold must be an integer, not 'x'"),
     ("--head-rules", "nosuch-head-rules.txt",
      "[Errno 2] No such file or directory: 'nosuch-head-rules.txt'"),
-])
+    ("--max-depth", "x", "max_depth must be an integer or none, not 'x'"),
+]
+
+
+# each case for both commands, and a sweep value for `dop experiment`
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(command, *case, id="-".join(case + (command,)))
+    for case in _BAD_TRAINING_SETTINGS
+    for command in ("train", "experiment")] + [
+    pytest.param("experiment", "--values", "1,x",
+                 "max_depth must be an integer or none, not 'x'",
+                 id="--values-1,x-experiment")])
 def test_bad_training_setting_is_reported_before_the_input_is_read(
         tmp_path, capsys, command, flag, value, message):
     # `dop train` and `dop experiment` check their training settings before
@@ -601,10 +613,8 @@ def test_config_file_with_cli_override(tmp_path, capsys):
           "--config", str(config)])
     main(["train", "--train", str(train), "--model", str(model_b),
           "--config", str(config), "--max-depth", "1"])
-    depth_a = max(e.fragment.depth
-                  for e in load_model(model_a).entries.values())
-    depth_b = max(e.fragment.depth
-                  for e in load_model(model_b).entries.values())
+    depth_a = max(Fragment(key).depth for key in load_model(model_a).entries)
+    depth_b = max(Fragment(key).depth for key in load_model(model_b).entries)
     assert depth_a == 2 and depth_b == 1
 
 
@@ -621,7 +631,7 @@ def test_train_with_smoothing(tmp_path):
     model = load_model(model_path)
     assert model.smoothed
     total = sum(e.probability for e in model.entries.values()
-                if e.fragment.root == "S")
+                if Fragment(e.key).root == "S")
     total += model.reserved_mass.get("S", Fraction(0))
     assert total == 1
     out = tmp_path / "out.txt"
@@ -636,12 +646,13 @@ def test_train_with_smoothing(tmp_path):
 
 
 def test_default_flag_values():
-    from dop.cli import _DEFAULTS, _bound
-    assert _bound(_DEFAULTS["max_depth"]) == 14
-    assert _bound(_DEFAULTS["max_frontier_words"]) == 12
-    assert _bound(_DEFAULTS["max_unlex_depth"]) == 6
-    assert _bound(_DEFAULTS["max_nonheadwords"]) is None
-    assert _bound(_DEFAULTS["sample_per_depth"]) == 400000
+    from dop.cli import _DEFAULTS, _Options
+    defaults = _Options(argparse.Namespace())
+    assert defaults.setting("max_depth", "bound") == 14
+    assert defaults.setting("max_frontier_words", "bound") == 12
+    assert defaults.setting("max_unlex_depth", "bound") == 6
+    assert defaults.setting("max_nonheadwords", "bound") is None
+    assert defaults.setting("sample_per_depth", "bound") == 400000
     assert int(_DEFAULTS["n_best"]) == 1000
     assert float(_DEFAULTS["prune_ratio"]) == 1e-5
     assert _DEFAULTS["smoothing"] == "off"

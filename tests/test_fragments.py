@@ -535,13 +535,13 @@ def test_read_key_matches_structure_path_on_sampled_model():
     fragments, _ = collect_fragments(bank, restriction, seed=2)
     model = build_model(fragments, restriction, default_head_rules())
     assert len(model.entries) > 100
+    trained = {fragment.key: fragment for fragment in fragments}
     for key in model.entries:
         read = Fragment.from_string(key)
         built = Fragment(write_tree(read.structure))
         assert (read.key, read.frontier, read.depth) == (
             built.key, built.frontier, built.depth) == (
-            key, model.entries[key].fragment.frontier,
-            model.entries[key].fragment.depth)
+            model.entries[key].key, trained[key].frontier, trained[key].depth)
         spaced = key.replace("(", "( ").replace(")", " )").replace(" ", " \t ")
         assert Fragment.from_string(spaced).key == key
 
@@ -642,8 +642,9 @@ def test_headword_matches_structure_walk_on_sampled_model():
     heads = set()
     for rules in (default_head_rules(), TOY_HEAD_RULES):
         for entry in model.entries.values():
-            head = headword(entry.fragment, rules)
-            assert head == _structure_headword(entry.fragment, rules)
+            fragment = Fragment(entry.key)
+            head = headword(fragment, rules)
+            assert head == _structure_headword(fragment, rules)
             heads.add(head)
     assert None in heads and len(heads) > 2
 

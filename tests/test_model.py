@@ -11,7 +11,7 @@ from dop import (Fragment, GrammarError, RestrictionSet, build_model,
                  train_unknown_model)
 from dop.fragments import passes
 from dop.model import FragmentModel, ModelEntry, word_features
-from dop.modelio import model_to_text
+from dop.modelio import load_model, model_to_text
 from dop.tree import Treebank
 from conftest import TOY_HEAD_RULES, random_tree, synthetic_treebank
 
@@ -56,7 +56,7 @@ def test_derivation_probability_missing_fragment(toy_model, caplog):
 def test_per_root_normalization_exact(toy_model):
     sums = {}
     for entry in toy_model.entries.values():
-        root = entry.fragment.root
+        root = Fragment(entry.key).root
         sums[root] = sums.get(root, Fraction(0)) + entry.probability
     assert all(total == 1 for total in sums.values())
 
@@ -77,7 +77,7 @@ def test_build_filters_for_safety(toy_treebank):
     fragments = extract_treebank(toy_treebank)
     model = build_model(fragments, RestrictionSet(max_depth=1),
                         TOY_HEAD_RULES)
-    assert all(e.fragment.depth == 1 for e in model.entries.values())
+    assert all(Fragment(e.key).depth == 1 for e in model.entries.values())
 
 
 def test_build_empty_grammar():
@@ -130,7 +130,7 @@ def test_depth1_model_equals_rule_frequencies():
     frequencies = _rule_frequencies(bank)
     assert len(model.entries) == len(frequencies)
     for entry in model.entries.values():
-        fragment = entry.fragment
+        fragment = Fragment(entry.key)
         rhs = tuple(item if isinstance(item, str) else item.label
                     for item in fragment.frontier)
         key = (fragment.root, rhs, fragment.frontier_word_count > 0)
@@ -276,7 +276,7 @@ def _reference_build_model(fragments, restriction, rules, start_labels=None):
     entries = {}
     for fragment, count in kept.items():
         entries[fragment.key] = ModelEntry(
-            fragment, count, Fraction(count, root_totals[fragment.root]))
+            fragment.key, count, Fraction(count, root_totals[fragment.root]))
     if start_labels is None:
         start_labels = frozenset(root_totals)
     counts = Counter()
@@ -302,8 +302,8 @@ def _reference_good_turing_adjust(model):
         n1 = count_of_counts.get(1, 0)
         if len(group) == 1 or n1 == total:
             for entry in group:
-                new_entries[entry.fragment.key] = ModelEntry(
-                    entry.fragment, entry.count, Fraction(entry.count, total))
+                new_entries[entry.key] = ModelEntry(
+                    entry.key, entry.count, Fraction(entry.count, total))
             new_totals[root] = total
             reserved[root] = Fraction(0)
             continue
@@ -320,8 +320,8 @@ def _reference_good_turing_adjust(model):
         new_total = sum(adjusted[e.count] for e in group)
         for entry in group:
             star = adjusted[entry.count]
-            new_entries[entry.fragment.key] = ModelEntry(
-                entry.fragment, star, (1 - p0) * star / new_total)
+            new_entries[entry.key] = ModelEntry(
+                entry.key, star, (1 - p0) * star / new_total)
         new_totals[root] = new_total
         reserved[root] = p0
     return FragmentModel(entries=new_entries, root_totals=new_totals,
@@ -336,7 +336,7 @@ def _assert_same_model(model, reference):
     assert list(model.entries) == list(reference.entries)
     for key, entry in model.entries.items():
         expected = reference.entries[key]
-        assert entry.fragment == expected.fragment
+        assert entry.key == expected.key == key
         assert (entry.count, type(entry.count)) == \
             (expected.count, type(expected.count))
         assert entry.probability == expected.probability
@@ -354,7 +354,8 @@ def _distinct_probabilities(model):
 
 
 def _distinct_root_counts(model):
-    return len({(e.fragment.root, e.count) for e in model.entries.values()})
+    return len({(Fragment(e.key).root, e.count)
+                for e in model.entries.values()})
 
 
 # each bound low enough that the synthetic banks lose fragments to it
@@ -405,3 +406,30 @@ def test_good_turing_shares_across_equal_adjusted_counts():
     stars = {key[3]: e.count for key, e in smoothed.entries.items()}
     assert stars == {"a": 3, "b": 3, "c": 1, "d": 1, "e": 1, "f": 3}
     assert _distinct_probabilities(smoothed) == 2
+
+
+def test_model_layers_build_no_fragment(toy_treebank, tmp_path, monkeypatch):
+    # a model entry is its key: building, smoothing, writing and loading a
+    # model construct no Fragment beyond the counts the model is built from
+    fragments = extract_treebank(toy_treebank)
+    built = []
+    init = Fragment.__init__
+
+    def counted(self, key):
+        built.append(key)
+        init(self, key)
+
+    monkeypatch.setattr(Fragment, "__init__", counted)
+    model = build_model(fragments, RestrictionSet(max_nonheadwords=1),
+                        TOY_HEAD_RULES)
+    assert len(model.entries) < len(fragments)
+    smoothed = good_turing_adjust(model)
+    text = model_to_text(smoothed)
+    path = tmp_path / "smoothed.dopmodel"
+    path.write_text(text)
+    loaded = load_model(path)
+    assert built == []
+    assert model_to_text(loaded) == text
+    # the count does see a Fragment built
+    Fragment.from_string("(S  (NP) (VP))")
+    assert built == ["(S (NP) (VP))"]

@@ -6,7 +6,7 @@ from dop import (Fragment, RestrictionSet, SentenceParser, Site,
                  build_model, extract_treebank, good_turing_adjust,
                  model_from_text, model_to_text, read_treebank,
                  train_unknown_model)
-from dop.modelio import ModelFormatError, load_model, write_model
+from dop.modelio import ModelFormatError, load_model, read_model, write_model
 from conftest import TOY_HEAD_RULES
 
 
@@ -30,14 +30,15 @@ def test_round_trip_preserves_everything(toy_model, toy_treebank):
 
 def test_loaded_frontiers_share_sites_and_words(toy_model):
     # one Site object per label and one string per word, in every frontier
-    loaded = model_from_text(model_to_text(toy_model))
+    _, rows = read_model(model_to_text(toy_model))
+    frontiers = {key: frontier for _, key, frontier, _, _ in rows}
     np_sites = [item for key in ("(S (NP) (VP))", "(VP (V likes) (NP))")
-                for item in loaded.entries[key].fragment.frontier
+                for item in frontiers[key]
                 if item == Site("NP")]
     assert len(np_sites) == 2 and np_sites[0] is np_sites[1]
     first = {}
-    for entry in loaded.entries.values():
-        for item in entry.fragment.frontier:
+    for frontier in frontiers.values():
+        for item in frontier:
             assert first.setdefault(item, item) is item
     # a frontier read lazily from a key shares them too
     lazy = Fragment("(S (NP mary) (VP))").frontier
@@ -344,10 +345,24 @@ def _replace_row(row, new):
     (_replace_row("unkstat\tan\t0\t0\t0\tNP\t1",
                   "unkstat\tan\t0\t0\t0\tNP\t0"),
      "unkstat count 0 is not above 0"),
+    (_replace_row("unkstat\tan\t0\t0\t0\tNP\t1",
+                  "unkstat\tan\t7\t0\t0\tNP\t1"),
+     "unkstat flags 7 0 0 are not each 0 or 1"),
+    (_replace_row("unkstat\tan\t0\t0\t0\tNP\t1",
+                  "unkstat\tan\t0\t-1\t0\tNP\t1"),
+     "unkstat flags 0 -1 0 are not each 0 or 1"),
+    (_replace_row("unkstat\tan\t0\t0\t0\tNP\t1",
+                  "unkstat\tan\t0\t0\t7\tNP\t1"),
+     "unkstat flags 0 0 7 are not each 0 or 1"),
+    (_replace_row("unk\t5", "unk\t0"), "unk threshold 0 is not at least 1"),
+    (_replace_row("unk\t5", "unk\t-1"),
+     "unk threshold -1 is not at least 1"),
 ], ids=["count-negative", "count-zero", "count-negative-fraction",
         "total-negative", "total-zero", "total-negative-fraction",
         "reserved-above-1", "reserved-1", "reserved-negative",
-        "prior-negative", "prior-above-1", "unkstat-count-zero"])
+        "prior-negative", "prior-above-1", "unkstat-count-zero",
+        "unkstat-caps-7", "unkstat-hyphen-negative", "unkstat-digit-7",
+        "unk-threshold-zero", "unk-threshold-negative"])
 def test_parse_refuses_out_of_range_numbers(tmp_path, toy_model, toy_treebank,
                                             capsys, change, message):
     # "sam" is out of vocabulary: its rules read the root totals and the

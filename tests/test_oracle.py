@@ -124,9 +124,9 @@ def _recursive_derivations(model, sentence, cap):
     and composition, as a reference for the iterative enumeration."""
     by_root = {}
     for key in sorted(model.entries):
-        entry = model.entries[key]
-        by_root.setdefault(entry.fragment.root, []).append(
-            (entry.fragment, entry.probability))
+        fragment = Fragment(key)
+        by_root.setdefault(fragment.root, []).append(
+            (fragment, model.entries[key].probability))
     found = []
     steps = 0
 

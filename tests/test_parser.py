@@ -181,14 +181,15 @@ def _assert_rules_from_model_and_file_agree(model):
          for r in from_file]
     entries = model.entries
     assert [r.key for r in from_model] == sorted(
-        entries, key=lambda key: (entries[key].fragment.root, key))
+        entries, key=lambda key: (Fragment(entries[key].key).root, key))
     assert [r.index for r in from_model] == list(range(len(entries)))
     for rules in (from_model, from_file):
         lhs = {}
         for rule in rules:
             assert rule.logprob == _log(entries[rule.key].probability)
             assert lhs.setdefault(rule.lhs, rule.lhs) is rule.lhs
-        assert len(lhs) == len({e.fragment.root for e in entries.values()})
+        assert len(lhs) == len({Fragment(e.key).root
+                                for e in entries.values()})
 
 
 def test_rules_from_a_model_equal_rules_from_its_file(toy_model):
